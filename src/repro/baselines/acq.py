@@ -15,9 +15,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Set
 
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, community_model
 
-from .common import BaselineResult, model_ops, timed
+from .common import timed
 
 
 @timed
@@ -25,11 +25,11 @@ def acq_search(
     g: LocalGraph, q: int, k: int, model: str = "core"
 ) -> Optional[Set[int]]:
     """Largest-shared-attribute-set connected k-core containing q."""
-    initial, _, _ = model_ops(model)
+    maximal = community_model(model).maximal
     qt = sorted(g.tattrs.get(q, frozenset()))
     if not qt:
         return None  # nothing to equality-match on
-    root = initial(g, q, k)
+    root = maximal(g, q, k)
     if not root:
         return None
     best: Optional[Set[int]] = None
@@ -39,7 +39,7 @@ def acq_search(
             keep = {v for v in root if need <= g.tattrs.get(v, frozenset())}
             if len(keep) <= 1:
                 continue
-            comm = initial(g, q, k, within=keep)
+            comm = maximal(g, q, k, within=keep)
             if comm and (best is None or len(comm) > len(best)):
                 best = comm
         if best is not None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, community_model
 from repro.metrics.cohesiveness import atc_coverage
 
-from .common import model_ops, timed
+from .common import timed
 
 _TRIES_PER_STEP = 8  # worst-matching members examined per greedy step
 
@@ -25,8 +25,8 @@ def locatc_search(
     g: LocalGraph, q: int, k: int, model: str = "core"
 ) -> Optional[Set[int]]:
     """Greedy coverage-maximising connected k-core containing q."""
-    initial, maintain, _ = model_ops(model)
-    comm = initial(g, q, k)
+    cm = community_model(model)
+    comm = cm.maximal(g, q, k)
     if not comm:
         return None
     qt = g.tattrs.get(q, frozenset())
@@ -40,7 +40,7 @@ def locatc_search(
             key=lambda v: len(qt & g.tattrs.get(v, frozenset())),
         )
         for v in order[:_TRIES_PER_STEP]:
-            cand, _ = maintain(g, comm, q, k, v)
+            cand, _ = cm.delete(g, comm, q, k, v)
             if not cand:
                 continue
             s = atc_coverage(g, cand, q)

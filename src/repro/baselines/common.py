@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple
-
-from repro.graphs.local import (
-    LocalGraph,
-    delete_with_kcore_maintenance,
-    delete_with_ktruss_maintenance,
-    maximal_connected_kcore,
-    maximal_connected_ktruss,
-)
+from typing import Optional, Set
 
 
 @dataclass
@@ -26,15 +18,6 @@ class BaselineResult:
     elapsed_s: float
     states: int = 0  # candidate states examined (exact variants)
     capped: bool = False
-
-
-def model_ops(model: str) -> Tuple[Callable, Callable, int]:
-    """(initial-community fn, delete-maintenance fn, min size) per model."""
-    if model == "core":
-        return maximal_connected_kcore, delete_with_kcore_maintenance, 2
-    if model == "truss":
-        return maximal_connected_ktruss, delete_with_ktruss_maintenance, 2
-    raise ValueError(f"unknown model {model!r}")
 
 
 def timed(fn):

@@ -17,12 +17,12 @@ q-centric δ). Two variants, both for k-core and k-truss substrates:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.graphs.local import LocalGraph
+from repro.graphs.local import LocalGraph, community_model
 from repro.metrics.distance import DEFAULT_GAMMA, NormStats, norm_stats_local, pair_distance
 
-from .common import model_ops, timed
+from .common import timed
 
 
 def _worst_pair(
@@ -46,8 +46,8 @@ def vac_search(
     model: str = "core",
 ) -> Optional[Set[int]]:
     """Approximate VAC: peel endpoints of the worst pair while possible."""
-    initial, maintain, _ = model_ops(model)
-    comm = initial(g, q, k)
+    cm = community_model(model)
+    comm = cm.maximal(g, q, k)
     if not comm:
         return None
     if stats is None:
@@ -58,7 +58,7 @@ def vac_search(
         for x in (u, v):
             if x == q:
                 continue
-            cand, _ = maintain(g, comm, q, k, x)
+            cand, _ = cm.delete(g, comm, q, k, x)
             if cand and _worst_pair(g, cand, gamma, stats)[0] < m:
                 comm = cand
                 improved = True
@@ -79,44 +79,45 @@ def evac_search(
     max_states: int = 50_000,
 ) -> Tuple[Optional[Set[int]], int, bool]:
     """Exact VAC: enumerate deletion-closed states, minimise min-max."""
-    initial, maintain, _ = model_ops(model)
-    root = initial(g, q, k)
+    cm = community_model(model)
+    root = cm.maximal(g, q, k)
     if not root:
         return None, 0, False
     if stats is None:
         stats = norm_stats_local(g)
 
-    best: Dict[str, object] = {"obj": _worst_pair(g, root, gamma, stats)[0], "comm": set(root)}
+    best_obj, best_comm = float("inf"), root
     seen: Set[FrozenSet[int]] = {frozenset(root)}
-    counters = {"states": 0, "capped": False}
+    states = 0
+    capped = False
+    # depth-first search tree: (state, endpoints of its worst pair not yet
+    # tried). Only deleting an endpoint of the worst pair can reduce the
+    # objective — the classic min-max branching rule
+    stack: List[Tuple[Set[int], Iterator[int]]] = []
 
-    def visit(state: Set[int]) -> None:
-        if counters["capped"]:
-            return
+    def enter(state: Set[int]) -> None:
+        nonlocal best_obj, best_comm
         obj, u, v = _worst_pair(g, state, gamma, stats)
-        if obj < best["obj"]:
-            best["obj"], best["comm"] = obj, set(state)
-        # only deleting an endpoint of the worst pair can reduce the
-        # objective — the classic min-max branching rule
-        for x in (u, v):
-            if x == q or counters["capped"]:
-                continue
-            if counters["states"] >= max_states:
-                counters["capped"] = True
-                return
-            cand, _ = maintain(g, state, q, k, x)
-            counters["states"] += 1
-            key = frozenset(cand)
-            if cand and key not in seen:
-                seen.add(key)
-                visit(cand)
+        if obj < best_obj:
+            best_obj, best_comm = obj, state
+        stack.append((state, iter((u, v))))
 
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(root) * 4 + 1000))
-    try:
-        visit(set(root))
-    finally:
-        sys.setrecursionlimit(old)
-    return set(best["comm"]), counters["states"], counters["capped"]
+    enter(set(root))
+    while stack:
+        state, ends = stack[-1]
+        x = next(ends, None)
+        if x is None:
+            stack.pop()
+            continue
+        if x == q:
+            continue
+        if states >= max_states:
+            capped = True
+            break
+        cand, _ = cm.delete(g, state, q, k, x)
+        states += 1
+        key = frozenset(cand)
+        if cand and key not in seen:
+            seen.add(key)
+            enter(cand)
+    return set(best_comm), states, capped

@@ -21,15 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.graphs.local import (
-    LocalGraph,
-    delete_with_kcore_maintenance,
-    delete_with_ktruss_maintenance,
-    maximal_connected_kcore,
-    maximal_connected_ktruss,
-)
+from repro.graphs.local import LocalGraph, community_model
 from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -83,16 +77,10 @@ def exact_cs(
     ``max_states`` (the result is then best-so-far with ``capped=True``).
     """
     t0 = time.perf_counter()
-    if model == "core":
-        root = maximal_connected_kcore(g, q, k)
-        maintain = delete_with_kcore_maintenance
-        min_others = k  # a k-core has ≥ k+1 nodes: q plus k others
-    elif model == "truss":
-        root = maximal_connected_ktruss(g, q, k)
-        maintain = delete_with_ktruss_maintenance
-        min_others = k - 1  # a k-truss has ≥ k nodes
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    cm = community_model(model)
+    root = cm.maximal(g, q, k)
+    # the P3 bound averages the fewest non-query members a community has
+    min_others = cm.min_size(k) - 1
     if not root:
         return ExactResult(None, INF, 0, 0, 0, time.perf_counter() - t0, False)
     if fvals is None:
@@ -100,19 +88,19 @@ def exact_cs(
             stats = norm_stats_local(g)
         fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
 
-    best: Dict[str, object] = {
-        "delta": delta(fvals, root, q),
-        "community": set(root),
-    }
-    counters = {"states": 0, "dup": 0, "unpromising": 0, "capped": False}
+    best_delta, best_comm = delta(fvals, root, q), set(root)
+    states = dup = unpromising = 0
+    capped = False
+    # depth-first search tree: (state, f of the node whose deletion made
+    # it, its not yet tried deletions in priority order)
+    stack: List[Tuple[Set[int], float, Iterator[int]]] = []
 
-    def enumerate_from(state: Set[int], state_delta: float, f_u: float) -> None:
-        if counters["capped"]:
-            return
+    def enter(state: Set[int], state_delta: float, f_u: float) -> None:
+        nonlocal unpromising
         if prune_unpromising:
             lb = _lower_bound(state, q, fvals, min_others)
-            if lb >= best["delta"]:
-                counters["unpromising"] += 1
+            if lb >= best_delta:
+                unpromising += 1
                 return
         if prune_unnecessary:
             candidates = [v for v in state if v != q and fvals[v] > state_delta]
@@ -120,43 +108,39 @@ def exact_cs(
             candidates = [v for v in state if v != q]
         # priority enumeration: descending composite distance to q
         candidates.sort(key=lambda v: (-fvals[v], v))
-        for v in candidates:
-            if counters["capped"]:
-                return
-            if max_states is not None and counters["states"] >= max_states:
-                counters["capped"] = True
-                return
-            new_state, removed = maintain(g, state, q, k, v)
-            counters["states"] += 1
-            if not new_state:
-                continue  # q collapsed out — dead branch
-            f_vm = max(fvals[u] for u in removed)
-            if prune_duplicate and f_vm > f_u:
-                counters["dup"] += 1
-                continue  # Theorem 4: duplicates an earlier state
-            nd = delta(fvals, new_state, q)
-            if nd < best["delta"]:
-                best["delta"] = nd
-                best["community"] = set(new_state)
-            enumerate_from(new_state, nd, fvals[v])
+        stack.append((state, f_u, iter(candidates)))
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(root) * 4 + 1000))
-    try:
-        enumerate_from(set(root), float(best["delta"]), INF)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    enter(set(root), best_delta, INF)
+    while stack:
+        state, f_u, candidates = stack[-1]
+        v = next(candidates, None)
+        if v is None:
+            stack.pop()
+            continue
+        if max_states is not None and states >= max_states:
+            capped = True
+            break
+        new_state, removed = cm.delete(g, state, q, k, v)
+        states += 1
+        if not new_state:
+            continue  # q collapsed out — dead branch
+        f_vm = max(fvals[u] for u in removed)
+        if prune_duplicate and f_vm > f_u:
+            dup += 1
+            continue  # Theorem 4: duplicates an earlier state
+        nd = delta(fvals, new_state, q)
+        if nd < best_delta:
+            best_delta, best_comm = nd, set(new_state)
+        enter(new_state, nd, fvals[v])
 
     return ExactResult(
-        community=set(best["community"]),
-        delta=float(best["delta"]),
-        states=counters["states"],
-        pruned_duplicate=counters["dup"],
-        pruned_unpromising=counters["unpromising"],
+        community=best_comm,
+        delta=float(best_delta),
+        states=states,
+        pruned_duplicate=dup,
+        pruned_unpromising=unpromising,
         elapsed_s=time.perf_counter() - t0,
-        capped=bool(counters["capped"]),
+        capped=capped,
         fvals=dict(fvals),
     )
 
@@ -176,12 +160,8 @@ def brute_force_cs(
     """
     from itertools import combinations
 
-    if model == "core":
-        root = maximal_connected_kcore(g, q, k)
-        check = lambda s: maximal_connected_kcore(g, q, k, within=set(s)) == set(s)
-    else:
-        root = maximal_connected_ktruss(g, q, k)
-        check = lambda s: maximal_connected_ktruss(g, q, k, within=set(s)) == set(s)
+    maximal = community_model(model).maximal
+    root = maximal(g, q, k)
     if not root:
         return None, INF
     if stats is None:
@@ -194,7 +174,7 @@ def brute_force_cs(
             cand = set(comb) | {q}
             if len(cand) < 2:
                 continue
-            if check(cand):
+            if maximal(g, q, k, within=cand) == cand:
                 d = delta(fvals, cand, q)
                 if d < best_d:
                     best_c, best_d = cand, d

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from repro.graphs.local import community_model
+
 
 def min_possible_worlds(n: int, m: int, beta: float, eps: float) -> int:
     """Theorem 9: minimum number of possible worlds w.r.t. ``G_q``."""
@@ -35,12 +37,7 @@ def min_neighborhood_size(
     Example 5 needs 16 625 of 682 819 nodes); callers clamp to the size of
     q's component, which simply means "sample from everything reachable".
     """
-    if size_lower_bound is not None:
-        m = size_lower_bound  # size-bounded CS: community has ≥ l nodes
-    elif model == "core":
-        m = k + 1  # a k-core has at least k+1 nodes
-    elif model == "truss":
-        m = k  # a k-truss has at least k nodes
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    min_size = community_model(model).min_size(k)
+    # size-bounded CS: the community has ≥ l nodes
+    m = size_lower_bound if size_lower_bound is not None else min_size
     return min_possible_worlds(n, m, beta, eps) + 1

@@ -29,13 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.local import (
-    LocalGraph,
-    delete_with_kcore_maintenance,
-    delete_with_ktruss_maintenance,
-    maximal_connected_kcore,
-    maximal_connected_ktruss,
-)
+from repro.graphs.local import LocalGraph, community_model
 from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -158,12 +152,14 @@ def _weighted_sample(
     return [int(v) for v in rng.choice(pool, size=n, replace=False, p=p)]
 
 
-def _community_of_sample(
-    g: LocalGraph, q: int, k: int, model: str, sample: Set[int]
-) -> Set[int]:
-    if model == "core":
-        return maximal_connected_kcore(g, q, k, within=sample)
-    return maximal_connected_ktruss(g, q, k, within=sample)
+def _min_gq(n: int, params: SEAParams) -> int:
+    """Theorem 10's minimum |G_q| on an ``n``-node graph (§VI-B's l when
+    the community size is bounded)."""
+    return min_neighborhood_size(
+        n, params.k, params.hoeffding_beta, params.hoeffding_eps,
+        model=params.model,
+        size_lower_bound=params.size_bound[0] if params.size_bound else None,
+    )
 
 
 def sea_search(
@@ -175,16 +171,11 @@ def sea_search(
 ) -> SEAResult:
     """All-local SEA search (Problem 2, Approx-CS-AG)."""
     t0 = time.perf_counter()
+    min_gq = _min_gq(g.num_nodes, params)
     if fvals is None:
         if stats is None:
             stats = norm_stats_local(g)
         fvals = composite_distances_local(g, q, params.gamma, stats)
-    n = g.num_nodes
-    size_lb = params.size_bound[0] if params.size_bound else None
-    min_gq = min_neighborhood_size(
-        n, params.k, params.hoeffding_beta, params.hoeffding_eps,
-        model=params.model, size_lower_bound=size_lb,
-    )
     gq = _best_first_neighborhood(g, q, fvals, min_gq)
     t_s1 = time.perf_counter() - t0
     return _sample_estimate_loop(
@@ -205,12 +196,8 @@ def _sample_estimate_loop(
     """Steps 2–3 of the pipeline over a materialised G_q (shared by the
     local and Spark front ends)."""
     rng = np.random.default_rng(params.seed)
-    maintain = (
-        delete_with_kcore_maintenance
-        if params.model == "core"
-        else delete_with_ktruss_maintenance
-    )
-    min_size = params.k + 1 if params.model == "core" else params.k
+    model = community_model(params.model)
+    min_size = model.min_size(params.k)
     lo, hi = params.size_bound if params.size_bound else (min_size, len(gq))
     lo = max(lo, min_size)
 
@@ -221,13 +208,13 @@ def _sample_estimate_loop(
     sample: Set[int] = {q} | set(
         _weighted_sample(rng, gq, fvals, max(min_size, int(params.lam * len(gq))))
     )
-    candidate = _community_of_sample(g, q, params.k, params.model, sample)
+    candidate = model.maximal(g, q, params.k, within=sample)
     # a sample whose induced graph lost q's community is useless — grow it
     while not candidate and len(sample) < len(gq):
         sample |= set(
             _weighted_sample(rng, gq, fvals, len(sample), exclude=sample)
         )
-        candidate = _community_of_sample(g, q, params.k, params.model, sample)
+        candidate = model.maximal(g, q, params.k, within=sample)
     t_s1 += time.perf_counter() - t
 
     rounds: List[SEARound] = []
@@ -252,7 +239,7 @@ def _sample_estimate_loop(
             if len(state) <= max(lo, min_size):
                 break  # peeling further cannot yield a valid community
             worst = max((v for v in state if v != q), key=lambda v: fvals[v])
-            state, _ = maintain(g, state, q, params.k, worst)
+            state, _ = model.delete(g, state, q, params.k, worst)
         # ---- BLB estimation with the Theorem-11 acceptance test ----
         est: Optional[BLBEstimate] = None
         if cand_best is not None:
@@ -300,7 +287,7 @@ def _sample_estimate_loop(
         sample |= set(
             _weighted_sample(rng, gq, fvals, ds_applied, exclude=sample)
         )
-        candidate = _community_of_sample(g, q, params.k, params.model, sample)
+        candidate = model.maximal(g, q, params.k, within=sample)
         t_s3 += time.perf_counter() - t_inc
         if not candidate:
             break
@@ -338,14 +325,9 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     from repro.spark_core.degrees import symmetrize
 
     t0 = time.perf_counter()
+    min_gq = _min_gq(graph.num_nodes(), params)
     stats = norm_stats_spark(graph.nodes)
     fdf = composite_distances(graph, q, params.gamma, stats)
-    n = graph.num_nodes()
-    size_lb = params.size_bound[0] if params.size_bound else None
-    min_gq = min_neighborhood_size(
-        n, params.k, params.hoeffding_beta, params.hoeffding_eps,
-        model=params.model, size_lower_bound=size_lb,
-    )
     gq_df = prioritized_neighborhood(symmetrize(graph.edges), fdf, q, min_gq)
     sub = graph.induced(gq_df.select("id"))
     edges_pdf = sub.edges.select("src", "dst").toPandas()

@@ -2,7 +2,9 @@
 from .attributed import AttributedGraph, canonicalize_edges
 from .generator import GeneratedGraph, planted_heterogeneous, planted_homogeneous
 from .local import (
+    CommunityModel,
     LocalGraph,
+    community_model,
     connected_component,
     core_decomposition,
     delete_with_kcore_maintenance,
@@ -16,9 +18,11 @@ from .local import (
 
 __all__ = [
     "AttributedGraph",
+    "CommunityModel",
     "GeneratedGraph",
     "LocalGraph",
     "canonicalize_edges",
+    "community_model",
     "connected_component",
     "core_decomposition",
     "delete_with_kcore_maintenance",

@@ -9,13 +9,14 @@ primitives in :mod:`repro.spark_core` and collected into a
 single-machine Java implementation runs them.
 
 Every algorithm here has a Spark twin in ``spark_core`` for the bulk-graph
-path; tests cross-validate the two.
+path; tests cross-validate the two. :func:`community_model` is the one
+place that maps a model name ("core", "truss") to its algorithms.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -297,3 +298,42 @@ def delete_with_ktruss_maintenance(
     if not comp:
         return set(), removed
     return comp, removed
+
+
+# ---------------------------------------------------------------------------
+# Community models
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CommunityModel:
+    """What a community is: the structure every search method peels inside.
+
+    ``maximal(g, q, k, within=None)`` is the maximal connected community of
+    q; ``delete(g, state, q, k, v)`` removes v from a community and restores
+    the invariant; ``min_size(k)`` is the fewest nodes such a community can
+    have — k+1 for a k-core, k for a k-truss (§VI-C), which is also
+    Theorem 10's Hoeffding ``m``.
+    """
+
+    maximal: Callable[..., Set[int]]
+    delete: Callable[[LocalGraph, Set[int], int, int, int], Tuple[Set[int], List[int]]]
+    min_size: Callable[[int], int]
+
+
+COMMUNITY_MODELS: Dict[str, CommunityModel] = {
+    "core": CommunityModel(
+        maximal_connected_kcore, delete_with_kcore_maintenance, lambda k: k + 1
+    ),
+    "truss": CommunityModel(
+        maximal_connected_ktruss, delete_with_ktruss_maintenance, lambda k: k
+    ),
+}
+
+
+def community_model(name: str) -> CommunityModel:
+    """The community model called ``name`` ("core" or "truss")."""
+    try:
+        return COMMUNITY_MODELS[name]
+    except KeyError:
+        raise ValueError(f"unknown model {name!r}") from None

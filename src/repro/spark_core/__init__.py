@@ -3,7 +3,6 @@ from .bfs import prioritized_neighborhood
 from .degrees import degrees, symmetrize
 from .kcore import bfs_component, connected_kcore, kcore_subgraph
 from .ktruss import connected_ktruss, edge_supports, ktruss_edges
-from .sampling import sampling_probabilities, weighted_sample_without_replacement
 
 __all__ = [
     "bfs_component",
@@ -14,7 +13,5 @@ __all__ = [
     "kcore_subgraph",
     "ktruss_edges",
     "prioritized_neighborhood",
-    "sampling_probabilities",
     "symmetrize",
-    "weighted_sample_without_replacement",
 ]

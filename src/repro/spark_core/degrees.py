@@ -1,4 +1,4 @@
-"""Degree computation as a Spark dataflow."""
+"""Edge-list dataflows: symmetrisation, restriction to a node set, degrees."""
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -8,6 +8,16 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     e = edges.select("src", "dst")
     return e.unionByName(
         e.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
+    )
+
+
+def restrict_edges(edges: DataFrame, ids: DataFrame) -> DataFrame:
+    """Edges whose endpoints are both in ``ids`` (an ``id`` column), with
+    every column of ``edges`` kept."""
+    return (
+        edges.join(ids.withColumnRenamed("id", "src"), "src")
+        .join(ids.withColumnRenamed("id", "dst"), "dst")
+        .select(edges.columns)
     )
 
 

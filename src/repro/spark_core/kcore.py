@@ -10,16 +10,7 @@ from typing import Optional, Tuple
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .degrees import degrees, symmetrize
-
-
-def _restrict_edges(edges: DataFrame, ids: DataFrame) -> DataFrame:
-    """Keep canonical edges whose both endpoints are in ``ids`` (col id)."""
-    return (
-        edges.join(ids.withColumnRenamed("id", "src"), "src")
-        .join(ids.withColumnRenamed("id", "dst"), "dst")
-        .select("src", "dst")
-    )
+from .degrees import degrees, restrict_edges, symmetrize
 
 
 def kcore_subgraph(
@@ -36,7 +27,7 @@ def kcore_subgraph(
     for _ in range(max_iter):
         deg = degrees(cur)
         keep = deg.where(F.col("degree") >= k).select("id")
-        cur = _restrict_edges(cur, keep).localCheckpoint()
+        cur = restrict_edges(cur, keep).localCheckpoint()
         n = cur.count()
         if n == prev_count:
             break
@@ -88,4 +79,4 @@ def connected_kcore(
         empty_ids = ids.limit(0)
         return empty_ids, core_edges.limit(0)
     comp = bfs_component(symmetrize(core_edges), q)
-    return comp, _restrict_edges(core_edges, comp)
+    return comp, restrict_edges(core_edges, comp)

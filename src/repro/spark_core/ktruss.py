@@ -10,7 +10,7 @@ from typing import Tuple
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .degrees import symmetrize
+from .degrees import restrict_edges, symmetrize
 
 
 def edge_supports(edges: DataFrame) -> DataFrame:
@@ -75,9 +75,4 @@ def connected_ktruss(edges: DataFrame, q: int, k: int) -> Tuple[DataFrame, DataF
         empty = te.limit(0)
         return empty.select(F.col("src").alias("id")).limit(0), empty
     comp = bfs_component(symmetrize(te), q)
-    kept = (
-        te.join(comp.withColumnRenamed("id", "src"), "src")
-        .join(comp.withColumnRenamed("id", "dst"), "dst")
-        .select("src", "dst")
-    )
-    return comp, kept
+    return comp, restrict_edges(te, comp)

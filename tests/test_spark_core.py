@@ -22,9 +22,7 @@ from repro.spark_core import (
     kcore_subgraph,
     ktruss_edges,
     prioritized_neighborhood,
-    sampling_probabilities,
     symmetrize,
-    weighted_sample_without_replacement,
 )
 
 
@@ -136,52 +134,6 @@ class TestTruss:
         ids, _ = connected_ktruss(tiny_spark.edges, q, 4)
         got = {r.id for r in ids.collect()}
         assert got == maximal_connected_ktruss(tiny.graph, q, 4)
-
-
-class TestSampling:
-    @pytest.fixture(scope="class")
-    def fvals(self, spark):
-        pdf = pd.DataFrame({"id": range(100), "f": [i / 100 for i in range(100)]})
-        return spark.createDataFrame(pdf)
-
-    def test_probabilities_oracle(self, fvals):
-        pdf = fvals.toPandas()
-        assert_equivalent(
-            sampling_probabilities(fvals),
-            """
-            SELECT id, f, (1 - f) / (SELECT SUM(1 - f) FROM fv) AS p_s
-            FROM fv
-            """,
-            fv=pdf,
-        )
-
-    def test_sample_size(self, fvals):
-        probs = sampling_probabilities(fvals)
-        s = weighted_sample_without_replacement(probs, "p_s", 20, seed=1)
-        assert s.count() == 20
-
-    def test_sample_no_duplicates(self, fvals):
-        probs = sampling_probabilities(fvals)
-        s = weighted_sample_without_replacement(probs, "p_s", 30, seed=2).collect()
-        ids = [r.id for r in s]
-        assert len(ids) == len(set(ids))
-
-    def test_sample_deterministic(self, fvals):
-        probs = sampling_probabilities(fvals)
-        a = {r.id for r in weighted_sample_without_replacement(probs, "p_s", 15, seed=3).collect()}
-        b = {r.id for r in weighted_sample_without_replacement(probs, "p_s", 15, seed=3).collect()}
-        assert a == b
-
-    def test_sample_biased_to_high_weight(self, fvals):
-        """Low-f (high-weight) nodes must dominate the sample."""
-        probs = sampling_probabilities(fvals)
-        s = weighted_sample_without_replacement(probs, "p_s", 30, seed=4).collect()
-        mean_f = sum(r.f for r in s) / len(s)
-        assert mean_f < 0.45  # population mean is ~0.495
-
-    def test_oversample_returns_all(self, fvals):
-        probs = sampling_probabilities(fvals)
-        assert weighted_sample_without_replacement(probs, "p_s", 500, seed=5).count() == 100
 
 
 class TestPrioritizedNeighborhood:
