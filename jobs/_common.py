@@ -1,8 +1,9 @@
-"""Shared spark-submit plumbing for the per-table jobs.
+"""Shared plumbing for the per-table jobs.
 
-Each job builds (or reuses) a local SparkSession configured like the
-test fixture — broadcast joins disabled so the shuffle paths are the
-ones exercised — runs one table harness, and prints the table.
+Each job runs one table harness and prints the table. The jobs that run
+Spark (Table I, the SEA query demo) build a local SparkSession configured
+like the test fixture — broadcast joins disabled so the shuffle paths are
+the ones exercised; Tables II–VI run on the driver and start none.
 """
 import argparse
 

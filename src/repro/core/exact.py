@@ -1,9 +1,9 @@
 """Exact CS-AG baseline (§IV): enumeration with three pruning strategies.
 
-The maximal connected k-core containing q is found first (Spark dataflow
-for the bulk graph, or the local twin); the search-tree enumeration of
-Algorithm 1 then runs on the driver — each state is a candidate community
-obtained by peeling one more node, and the three prunings cut:
+The maximal connected k-core (or k-truss) containing q is found first;
+the search-tree enumeration of Algorithm 1 then runs on it — each state is
+a candidate community obtained by peeling one more node, and the three
+prunings cut:
 
 * **P1 duplicate states** — priority enumeration in descending f(·,q);
   a substate whose cascade-deleted max-f node v_m has
@@ -20,7 +20,7 @@ Counters for explored states per pruning configuration feed Table IV.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.local import LocalGraph, community_model
@@ -46,7 +46,6 @@ class ExactResult:
     pruned_unpromising: int
     elapsed_s: float
     capped: bool  # True when max_states stopped the search early
-    fvals: Dict[int, float] = field(default_factory=dict, repr=False)
 
 
 def _lower_bound(state: Set[int], q: int, fvals: Dict[int, float], m: int) -> float:
@@ -71,10 +70,10 @@ def exact_cs(
 ) -> ExactResult:
     """Algorithm 1 over the maximal connected k-core (or k-truss) of q.
 
-    ``fvals`` may be precomputed (e.g. collected from the Spark distance
-    dataflow); otherwise the local twin computes it. With every pruning
-    disabled this is the raw exponential enumeration — cap it with
-    ``max_states`` (the result is then best-so-far with ``capped=True``).
+    ``fvals`` may be precomputed; otherwise it is computed for the root
+    community's nodes. With every pruning disabled this is the raw
+    exponential enumeration — cap it with ``max_states`` (the result is
+    then best-so-far with ``capped=True``).
     """
     t0 = time.perf_counter()
     cm = community_model(model)
@@ -141,7 +140,6 @@ def exact_cs(
         pruned_unpromising=unpromising,
         elapsed_s=time.perf_counter() - t0,
         capped=capped,
-        fvals=dict(fvals),
     )
 
 

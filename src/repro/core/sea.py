@@ -15,10 +15,10 @@ Pipeline (Fig. 4):
 
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
-:func:`sea_search_spark` runs the bulk stages (distance evaluation,
-neighbourhood BFS, weighted sampling, induced subgraph) as Spark
-dataflows and collects only G_q for the driver-side inner loop — the
-same split the complexity analysis of §V-D assumes.
+:func:`sea_search_spark` runs the bulk stages (norm stats, distance
+evaluation, neighbourhood BFS, induced subgraph) as Spark dataflows and
+collects only G_q; weighted sampling and everything after it run on the
+driver — the same split the complexity analysis of §V-D assumes.
 """
 from __future__ import annotations
 
@@ -107,7 +107,6 @@ class SEAResult:
     sampling_s: float  # S1 time (G_q + sampling + core finding)
     estimation_s: float  # S2 time (greedy + BLB)
     incremental_s: float  # S3 time (Eq. 12 resampling)
-    fvals: Dict[int, float] = field(default_factory=dict, repr=False)
 
 
 def _best_first_neighborhood(
@@ -304,7 +303,6 @@ def _sample_estimate_loop(
         sampling_s=t_s1,
         estimation_s=t_s2,
         incremental_s=t_s3,
-        fvals=dict(fvals),
     )
 
 

@@ -9,7 +9,6 @@ from .local import (
     core_decomposition,
     delete_with_kcore_maintenance,
     delete_with_ktruss_maintenance,
-    edge_supports,
     kcore_nodes,
     ktruss_edges,
     maximal_connected_kcore,
@@ -27,7 +26,6 @@ __all__ = [
     "core_decomposition",
     "delete_with_kcore_maintenance",
     "delete_with_ktruss_maintenance",
-    "edge_supports",
     "kcore_nodes",
     "ktruss_edges",
     "maximal_connected_kcore",

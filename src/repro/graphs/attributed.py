@@ -7,9 +7,10 @@
 * ``edges``: ``src: long, dst: long`` stored canonically (``src < dst``,
   deduplicated, no self-loops) plus an optional ``etype: string`` column.
 
-All bulk-graph dataflows (degrees, k-core peeling, BFS, distances,
-meta-path projection) consume these frames; the driver-side inner loops
-consume the collected :class:`repro.graphs.local.LocalGraph` twin.
+The Spark dataflows (Table I degrees, and the distance pass, G_q BFS and
+induced subgraph of ``sea_search_spark``) consume these frames; the
+driver-side inner loops consume the collected
+:class:`repro.graphs.local.LocalGraph`.
 """
 from __future__ import annotations
 

@@ -3,14 +3,13 @@
 The paper's per-query inner loops (branch-and-bound enumeration, greedy
 peeling, k-core/k-truss maintenance after a deletion) are sequential and
 operate on small candidate subgraphs (a maximal connected k-core, or the
-induced graph of a sample). Those subgraphs are extracted with the Spark
-primitives in :mod:`repro.spark_core` and collected into a
-:class:`LocalGraph` for the inner loops — mirroring how the original
-single-machine Java implementation runs them.
+induced graph of a sample), so they run on a :class:`LocalGraph` in
+driver memory — mirroring how the original single-machine Java
+implementation runs them. ``sea_search_spark`` collects its G_q into one.
 
-Every algorithm here has a Spark twin in ``spark_core`` for the bulk-graph
-path; tests cross-validate the two. :func:`community_model` is the one
-place that maps a model name ("core", "truss") to its algorithms.
+Tests check core decomposition, k-core, k-truss and connected components
+against ``networkx``. :func:`community_model` is the one place that maps
+a model name ("core", "truss") to its algorithms.
 """
 from __future__ import annotations
 
@@ -87,8 +86,7 @@ class LocalGraph:
 def core_decomposition(g: LocalGraph) -> Dict[int, int]:
     """Batagelj–Zaveršnik peeling: coreness (core number) of every node.
 
-    O(|E|) using bucket sort on degrees; this is the local twin of the
-    iterative Spark peeling in ``spark_core.kcore``.
+    O(|E|) using bucket sort on degrees.
     """
     deg = {v: len(nbrs) for v, nbrs in g.adj.items()}
     if not deg:
@@ -211,22 +209,8 @@ def delete_with_kcore_maintenance(
 
 
 # ---------------------------------------------------------------------------
-# Triangles and k-truss
+# k-truss
 # ---------------------------------------------------------------------------
-
-
-def edge_supports(
-    g: LocalGraph, within: Optional[Set[int]] = None
-) -> Dict[Tuple[int, int], int]:
-    """Support (number of triangles) of each edge, keyed (min, max)."""
-    nodes = set(g.adj) if within is None else within
-    sup: Dict[Tuple[int, int], int] = {}
-    for v in nodes:
-        for u in g.adj[v]:
-            if u in nodes and v < u:
-                common = g.adj[v] & g.adj[u] & nodes
-                sup[(v, u)] = len(common)
-    return sup
 
 
 def ktruss_edges(

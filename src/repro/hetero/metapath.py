@@ -4,72 +4,20 @@ Two target nodes are P-neighbours when a path instance of the meta-path
 ``P = (t₀, t₁, …, t_L)`` (t₀ = t_L = the target type) connects them. The
 ``(k,P)``-core of the paper is then simply the k-core of the homogeneous
 *projection*: the graph on target nodes with one edge per P-neighbour
-pair. Projection is a chain of joins — one per meta-path hop — over the
-typed node table and the symmetric edge list; the k-core/k-truss/SEA
-machinery runs unchanged on the projected graph.
+pair. Projection walks the path one hop at a time on the driver, keeping
+for each target node the set of nodes of the current hop's type it
+reaches; the k-core/k-truss/SEA machinery runs unchanged on the projected
+graph.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.graphs.attributed import AttributedGraph
 from repro.graphs.local import LocalGraph
-from repro.spark_core.degrees import symmetrize
-
-
-def metapath_pairs(graph: AttributedGraph, path: Sequence[str]) -> DataFrame:
-    """P-neighbour pairs as canonical edges ``src < dst`` (Spark).
-
-    One join per hop: the frontier (start, cur) extends along symmetric
-    edges into nodes of the next type in the path. ``distinct`` after
-    each hop keeps the dataflow polynomial even when many path instances
-    connect the same pair.
-    """
-    if len(path) < 2:
-        raise ValueError("meta-path needs at least two node types")
-    types = graph.nodes.select("id", "ntype")
-    sym = symmetrize(graph.edges)
-    cur = (
-        types.where(F.col("ntype") == path[0])
-        .select(F.col("id").alias("start"), F.col("id").alias("cur"))
-    )
-    for hop, t in enumerate(path[1:]):
-        # fresh column names per hop keep the self-joined edge list
-        # unambiguous for the analyzer
-        step = sym.select(
-            F.col("src").alias(f"h{hop}_from"), F.col("dst").alias(f"h{hop}_to")
-        )
-        nxt = types.where(F.col("ntype") == t).select(
-            F.col("id").alias(f"h{hop}_nid")
-        )
-        cur = (
-            cur.join(step, F.col("cur") == F.col(f"h{hop}_from"))
-            .join(nxt, F.col(f"h{hop}_to") == F.col(f"h{hop}_nid"))
-            .select("start", F.col(f"h{hop}_to").alias("cur"))
-            .distinct()
-        )
-    return (
-        cur.where(F.col("start") != F.col("cur"))
-        .select(
-            F.least("start", "cur").alias("src"),
-            F.greatest("start", "cur").alias("dst"),
-        )
-        .distinct()
-    )
-
-
-def metapath_project(graph: AttributedGraph, path: Sequence[str]) -> AttributedGraph:
-    """Homogeneous projection: target nodes + P-neighbour edges (Spark)."""
-    pairs = metapath_pairs(graph, path)
-    targets = graph.nodes.where(F.col("ntype") == path[0])
-    return AttributedGraph(targets, pairs)
 
 
 def metapath_pairs_local(g: LocalGraph, path: Sequence[str]) -> Set[Tuple[int, int]]:
-    """Driver-side twin of :func:`metapath_pairs`."""
+    """P-neighbour pairs as canonical edges ``(min, max)``."""
     if g.ntypes is None:
         raise ValueError("graph has no node types")
     if len(path) < 2:
@@ -95,7 +43,7 @@ def metapath_pairs_local(g: LocalGraph, path: Sequence[str]) -> Set[Tuple[int, i
 
 
 def metapath_project_local(g: LocalGraph, path: Sequence[str]) -> LocalGraph:
-    """Driver-side twin of :func:`metapath_project`.
+    """Homogeneous projection: target nodes + P-neighbour edges.
 
     The projected graph keeps the target nodes' attributes; isolated
     targets (no P-neighbour) are retained so population counts match the

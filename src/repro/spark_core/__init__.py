@@ -1,17 +1,10 @@
-"""Distributed (Spark DataFrame) graph primitives."""
+"""Spark DataFrame dataflows: edge symmetrisation, degrees (Table I) and
+the G_q neighbourhood BFS of the Spark SEA front end."""
 from .bfs import prioritized_neighborhood
 from .degrees import degrees, symmetrize
-from .kcore import bfs_component, connected_kcore, kcore_subgraph
-from .ktruss import connected_ktruss, edge_supports, ktruss_edges
 
 __all__ = [
-    "bfs_component",
-    "connected_kcore",
-    "connected_ktruss",
     "degrees",
-    "edge_supports",
-    "kcore_subgraph",
-    "ktruss_edges",
     "prioritized_neighborhood",
     "symmetrize",
 ]

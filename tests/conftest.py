@@ -32,19 +32,5 @@ def fb():
 
 
 @pytest.fixture(scope="session")
-def fb_spark(spark, fb):
-    g = AttributedGraph.from_local(spark, fb.graph).cache()
-    g.num_nodes()
-    return g
-
-
-@pytest.fixture(scope="session")
 def dblp():
     return load("dblp")
-
-
-@pytest.fixture(scope="session")
-def dblp_spark(spark, dblp):
-    g = AttributedGraph.from_local(spark, dblp.graph).cache()
-    g.num_nodes()
-    return g

@@ -8,7 +8,6 @@ from repro.graphs import (
     core_decomposition,
     delete_with_kcore_maintenance,
     delete_with_ktruss_maintenance,
-    edge_supports,
     kcore_nodes,
     ktruss_edges,
     maximal_connected_kcore,
@@ -191,16 +190,6 @@ class TestKCoreMaintenance:
 
 
 class TestTruss:
-    def test_supports_triangle(self):
-        g = LocalGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
-        sup = edge_supports(g)
-        assert sup[(0, 1)] == 1
-        assert sup[(2, 3)] == 0
-
-    def test_clique_supports(self):
-        g = LocalGraph.from_edges(clique(5))
-        assert set(edge_supports(g).values()) == {3}
-
     def test_ktruss_of_clique(self):
         g = LocalGraph.from_edges(clique(5))
         assert len(ktruss_edges(g, 5)) == 10

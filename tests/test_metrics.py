@@ -12,7 +12,6 @@ from repro.metrics import (
     composite_distances,
     composite_distances_local,
     delta,
-    delta_spark,
     f1_score,
     jaccard_distance,
     norm_stats_local,
@@ -192,15 +191,6 @@ class TestDelta:
 
     def test_singleton(self):
         assert delta({0: 0.0}, {0}, q=0) == 0.0
-
-    def test_spark_matches_local(self, tiny, tiny_spark, spark):
-        q = sorted(tiny.graph.adj)[0]
-        comm = sorted(tiny.community_of(q))
-        f = composite_distances_local(tiny.graph, q)
-        want = delta(f, set(comm), q)
-        fdf = composite_distances(tiny_spark, q)
-        cdf = spark.createDataFrame(pd.DataFrame({"id": comm}))
-        assert delta_spark(fdf, cdf, q) == pytest.approx(want, abs=1e-9)
 
     def test_fig3_example(self):
         """The running example of §IV: δ(H̃₂) = (0.7+0.6+0.6+0.5+0.3)/5."""

@@ -1,29 +1,10 @@
 """Tests for the Spark graph primitives: DuckDB oracles + local twins."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graphs import (
-    AttributedGraph,
-    LocalGraph,
-    connected_component,
-    edge_supports as local_edge_supports,
-    ktruss_edges as local_ktruss_edges,
-    maximal_connected_kcore,
-    maximal_connected_ktruss,
-)
+from repro.graphs import AttributedGraph, LocalGraph
 from repro.oracle import assert_equivalent
-from repro.spark_core import (
-    bfs_component,
-    connected_kcore,
-    connected_ktruss,
-    degrees,
-    edge_supports,
-    kcore_subgraph,
-    ktruss_edges,
-    prioritized_neighborhood,
-    symmetrize,
-)
+from repro.spark_core import degrees, prioritized_neighborhood, symmetrize
 
 
 class TestDegrees:
@@ -48,92 +29,6 @@ class TestDegrees:
 
     def test_symmetrize_doubles(self, tiny_spark):
         assert symmetrize(tiny_spark.edges).count() == 2 * tiny_spark.num_edges()
-
-
-class TestKCore:
-    @pytest.mark.parametrize("k", [2, 4, 6])
-    def test_matches_local(self, tiny, tiny_spark, k):
-        from repro.graphs import kcore_nodes
-
-        ids, _ = kcore_subgraph(tiny_spark.edges, k)
-        got = {r.id for r in ids.collect()}
-        assert got == kcore_nodes(tiny.graph, k)
-
-    def test_kcore_degrees_hold(self, tiny_spark):
-        ids, core_edges = kcore_subgraph(tiny_spark.edges, 5)
-        if ids.count() == 0:
-            pytest.skip("no 5-core")
-        degs = degrees(core_edges)
-        assert degs.where(F.col("degree") < 5).count() == 0
-
-    def test_empty_when_k_too_large(self, tiny_spark):
-        ids, edges = kcore_subgraph(tiny_spark.edges, 60)
-        assert ids.count() == 0 and edges.count() == 0
-
-    def test_connected_kcore_matches_local(self, tiny, tiny_spark):
-        q = next(iter(tiny.graph.adj))
-        ids, _ = connected_kcore(tiny_spark.edges, q, 3)
-        got = {r.id for r in ids.collect()}
-        assert got == maximal_connected_kcore(tiny.graph, q, 3)
-
-    def test_connected_kcore_q_missing(self, spark):
-        # two 4-cliques, no bridge: q's component only
-        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        edges += [(a + 10, b + 10) for a in range(4) for b in range(a + 1, 4)]
-        g = AttributedGraph.from_local(spark, LocalGraph.from_edges(edges))
-        ids, _ = connected_kcore(g.edges, 0, 3)
-        assert {r.id for r in ids.collect()} == {0, 1, 2, 3}
-
-
-class TestBFS:
-    def test_component_matches_local(self, tiny, tiny_spark):
-        q = next(iter(tiny.graph.adj))
-        got = {r.id for r in bfs_component(symmetrize(tiny_spark.edges), q).collect()}
-        assert got == connected_component(tiny.graph, q)
-
-    def test_two_components(self, spark):
-        g = AttributedGraph.from_local(
-            spark, LocalGraph.from_edges([(0, 1), (1, 2), (5, 6)])
-        )
-        got = {r.id for r in bfs_component(symmetrize(g.edges), 5).collect()}
-        assert got == {5, 6}
-
-
-class TestTruss:
-    def test_support_oracle(self, tiny_spark, tiny_edges_pdf):
-        got = edge_supports(tiny_spark.edges)
-        assert_equivalent(
-            got,
-            """
-            WITH sym AS (
-              SELECT src, dst FROM edges
-              UNION ALL SELECT dst, src FROM edges
-            )
-            SELECT e.src, e.dst,
-                   (SELECT COUNT(*) FROM sym s1, sym s2
-                    WHERE s1.src = e.src AND s2.src = e.dst
-                      AND s1.dst = s2.dst)::BIGINT AS support
-            FROM edges e
-            """,
-            edges=tiny_edges_pdf,
-        )
-
-    def test_support_matches_local(self, tiny, tiny_spark):
-        got = {
-            (r.src, r.dst): r.support for r in edge_supports(tiny_spark.edges).collect()
-        }
-        assert got == local_edge_supports(tiny.graph)
-
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_ktruss_matches_local(self, tiny, tiny_spark, k):
-        got = {(r.src, r.dst) for r in ktruss_edges(tiny_spark.edges, k).collect()}
-        assert got == local_ktruss_edges(tiny.graph, k)
-
-    def test_connected_ktruss_matches_local(self, tiny, tiny_spark):
-        q = next(iter(tiny.graph.adj))
-        ids, _ = connected_ktruss(tiny_spark.edges, q, 4)
-        got = {r.id for r in ids.collect()}
-        assert got == maximal_connected_ktruss(tiny.graph, q, 4)
 
 
 class TestPrioritizedNeighborhood:
