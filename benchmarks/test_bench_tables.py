@@ -2,9 +2,10 @@
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/test_bench_tables.py --benchmark-only
 
-Each benchmark regenerates one table at the EXPERIMENTS.md workload and
+Each benchmark regenerates one table of ``repro.experiments.TABLES`` at
+its recorded workload (the defaults of its ``tableN`` function) and
 prints it, so the bench log doubles as the reproduction record. The
 table harnesses are deterministic (seeded queries/sampling), so a single
 measured round per table is meaningful; wall times land in the benchmark
@@ -14,15 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import (
-    format_rows,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
+from repro.experiments import TABLES, run_table
 
 # pytest captures stdout, so the rendered tables are also appended to a
 # durable artifact next to this file — the reproduction record referenced
@@ -30,10 +23,12 @@ from repro.experiments import (
 _OUT = pathlib.Path(__file__).parent / "tables_output.txt"
 _FRESH = {"done": False}
 
+# rows each table prints; Table VI prints one per SEA round instead
+ROWS = {1: 10, 2: 6, 3: 6, 4: 4, 5: 7}
 
-def _run_and_print(title, fn, **kwargs):
-    rows, meta = fn(**kwargs)
-    text = f"\n{title} ({meta})\n{format_rows(rows)}\n"
+
+def _run_and_print(number):
+    rows, text = run_table(number)
     print(text, end="")
     mode = "a" if _FRESH["done"] else "w"
     _FRESH["done"] = True
@@ -43,64 +38,12 @@ def _run_and_print(title, fn, **kwargs):
 
 
 @pytest.mark.benchmark(group="tables")
-def test_table1_dataset_stats(benchmark):
+@pytest.mark.parametrize("number", sorted(TABLES))
+def test_table(benchmark, number):
     rows = benchmark.pedantic(
-        lambda: _run_and_print("Table I — dataset statistics", table1),
-        rounds=1, iterations=1,
+        lambda: _run_and_print(number), rounds=1, iterations=1
     )
-    assert len(rows) == 10
-
-
-@pytest.mark.benchmark(group="tables")
-def test_table2_attribute_cohesiveness(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _run_and_print(
-            "Table II — attribute cohesiveness (facebook)",
-            table2, k=5, n_queries=8, seed=3,
-        ),
-        rounds=1, iterations=1,
-    )
-    assert len(rows) == 6
-
-
-@pytest.mark.benchmark(group="tables")
-def test_table3_f1_vs_ground_truth(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _run_and_print(
-            "Table III — F1 vs ground truth", table3, k=5, n_queries=5, seed=3
-        ),
-        rounds=1, iterations=1,
-    )
-    assert len(rows) == 6
-
-
-@pytest.mark.benchmark(group="tables")
-def test_table4_pruning_effect(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _run_and_print(
-            "Table IV — pruning effect on Exact",
-            table4, k=4, n_queries=3, seed=3, cap=60_000,
-        ),
-        rounds=1, iterations=1,
-    )
-    assert len(rows) == 4
-
-
-@pytest.mark.benchmark(group="tables")
-def test_table5_heterogeneous(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _run_and_print(
-            "Table V — heterogeneous graphs", table5, k=4, n_queries=5, seed=0
-        ),
-        rounds=1, iterations=1,
-    )
-    assert len(rows) == 7
-
-
-@pytest.mark.benchmark(group="tables")
-def test_table6_case_study(benchmark):
-    rows = benchmark.pedantic(
-        lambda: _run_and_print("Table VI — size-bounded case study", table6),
-        rounds=1, iterations=1,
-    )
-    assert len(rows) >= 2
+    if number == 6:
+        assert len(rows) >= 2  # at least one round per size bound
+    else:
+        assert len(rows) == ROWS[number]

@@ -1,12 +1,10 @@
-"""Shared plumbing for the per-table jobs.
+"""The SparkSession of the jobs that run Spark.
 
-Each job runs one table harness and prints the table. The jobs that run
-Spark (Table I, the SEA query demo) build a local SparkSession configured
-like the test fixture — broadcast joins disabled so the shuffle paths are
-the ones exercised; Tables II–VI run on the driver and start none.
+``table1_stats.py`` and ``sea_query.py`` build a local SparkSession
+configured like the test fixture — broadcast joins disabled so the
+shuffle paths are the ones exercised. ``tables.py`` runs on the driver
+and starts none.
 """
-import argparse
-
 from pyspark.sql import SparkSession
 
 
@@ -20,10 +18,3 @@ def session(app: str) -> SparkSession:
         .getOrCreate()
     )
 
-
-def std_parser(desc: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(description=desc)
-    p.add_argument("--queries", type=int, default=5, help="queries per dataset")
-    p.add_argument("--k", type=int, default=None, help="community parameter k")
-    p.add_argument("--seed", type=int, default=3, help="query-selection seed")
-    return p

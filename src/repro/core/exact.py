@@ -61,7 +61,6 @@ def exact_cs(
     k: int,
     gamma: float = DEFAULT_GAMMA,
     stats: Optional[NormStats] = None,
-    fvals: Optional[Dict[int, float]] = None,
     model: str = "core",
     prune_duplicate: bool = True,
     prune_unnecessary: bool = True,
@@ -70,11 +69,12 @@ def exact_cs(
 ) -> ExactResult:
     """Algorithm 1 over the maximal connected k-core (or k-truss) of q.
 
-    ``fvals`` may be precomputed; otherwise it is computed for the root
-    community's nodes. With every pruning disabled this is the raw
-    exponential enumeration — cap it with ``max_states`` (the result is
-    then best-so-far with ``capped=True``).
+    f(·,q) is computed for the root community's nodes. With every pruning
+    disabled this is the raw exponential enumeration — cap it with
+    ``max_states`` (the result is then best-so-far with ``capped=True``).
     """
+    if q not in g.adj:
+        raise ValueError(f"query node {q} is not in the graph")
     t0 = time.perf_counter()
     cm = community_model(model)
     root = cm.maximal(g, q, k)
@@ -82,10 +82,9 @@ def exact_cs(
     min_others = cm.min_size(k) - 1
     if not root:
         return ExactResult(None, INF, 0, 0, 0, time.perf_counter() - t0, False)
-    if fvals is None:
-        if stats is None:
-            stats = norm_stats_local(g)
-        fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
+    if stats is None:
+        stats = norm_stats_local(g)
+    fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
 
     best_delta, best_comm = delta(fvals, root, q), set(root)
     states = dup = unpromising = 0

@@ -43,7 +43,6 @@ from .estimation import (
     accuracy_guaranteed,
     blb_estimate,
     incremental_sample_size,
-    moe_threshold,
 )
 from .hoeffding import min_neighborhood_size
 
@@ -77,6 +76,24 @@ class SEAParams:
     size_bound: Optional[Tuple[int, int]] = None  # (l, h) for §VI-B
     max_rounds: int = 5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        def need(ok: bool, what: str, value) -> None:
+            if not ok:
+                raise ValueError(f"SEAParams: {what}, got {value!r}")
+
+        need(self.k >= 1, "k must be >= 1", self.k)
+        need(self.e > 0, "e must be > 0", self.e)
+        need(self.max_rounds >= 1, "max_rounds must be >= 1", self.max_rounds)
+        need(0 <= self.gamma <= 1, "gamma must be in [0, 1]", self.gamma)
+        need(0 < self.alpha < 1, "alpha must be in (0, 1)", self.alpha)
+        need(0 < self.lam <= 1, "lam must be in (0, 1]", self.lam)
+        need(self.hoeffding_eps > 0, "hoeffding_eps must be > 0", self.hoeffding_eps)
+        need(0 < self.hoeffding_beta < 1, "hoeffding_beta must be in (0, 1)",
+             self.hoeffding_beta)
+        if self.size_bound is not None:
+            lo, hi = self.size_bound
+            need(1 <= lo <= hi, "size_bound (l, h) needs 1 <= l <= h", self.size_bound)
 
 
 @dataclass
@@ -169,6 +186,8 @@ def sea_search(
     stats: Optional[NormStats] = None,
 ) -> SEAResult:
     """All-local SEA search (Problem 2, Approx-CS-AG)."""
+    if q not in g.adj:
+        raise ValueError(f"query node {q} is not in the graph")
     t0 = time.perf_counter()
     min_gq = _min_gq(g.num_nodes, params)
     if fvals is None:
@@ -316,8 +335,6 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     magnitude smaller than the graph — and the sample-estimate loop runs
     on the driver exactly as in :func:`sea_search`.
     """
-    import pandas as pd  # noqa: F401 (documents the collect boundary)
-
     from repro.metrics.distance import composite_distances, norm_stats_spark
     from repro.spark_core.bfs import prioritized_neighborhood
     from repro.spark_core.degrees import symmetrize

@@ -9,9 +9,20 @@ from .harness import (
     relative_error,
     run_method,
 )
-from .tables import format_rows, table1, table2, table3, table4, table5, table6
+from .tables import (
+    TABLES,
+    format_rows,
+    run_table,
+    table1,
+    table2,
+    table3,
+    table4,
+    table5,
+    table6,
+)
 
 __all__ = [
+    "TABLES",
     "MethodRun",
     "PreparedDataset",
     "exact_ground_truth",
@@ -21,6 +32,7 @@ __all__ = [
     "prepare",
     "relative_error",
     "run_method",
+    "run_table",
     "table1",
     "table2",
     "table3",

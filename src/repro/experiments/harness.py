@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from repro.graphs.generator import GeneratedGraph
 from repro.graphs.local import LocalGraph, core_decomposition
 from repro.hetero import metapath_project_local
 from repro.metrics import NormStats, composite_distances_local, delta, norm_stats_local
+
+# Exact's state cap when it answers a table query or supplies the
+# relative-error reference
+EXACT_MAX_STATES = 2_000_000
 
 
 @dataclass
@@ -46,7 +50,7 @@ def prepare(name: str) -> PreparedDataset:
         graph = gen.graph
     some_member = next(iter(gen.communities))
     gamma = 0.5 if gen.graph.tattrs[some_member] else 0.0
-    stats = norm_stats_local(graph, nodes=list(graph.adj))
+    stats = norm_stats_local(graph)
     return PreparedDataset(name, gen, graph, stats, gamma)
 
 
@@ -73,13 +77,6 @@ class MethodRun:
     elapsed_s: float
 
 
-def _delta_of(prep: PreparedDataset, q: int, comm: Optional[Set[int]],
-              fvals: Dict[int, float]) -> Optional[float]:
-    if not comm:
-        return None
-    return delta(fvals, comm, q)
-
-
 def run_method(
     method: str,
     prep: PreparedDataset,
@@ -89,7 +86,6 @@ def run_method(
     model: str = "core",
     e: float = 0.10,
     seed: int = 0,
-    exact_max_states: int = 2_000_000,
 ) -> MethodRun:
     """Dispatch one of the paper's methods (§VII-A) on one query.
 
@@ -109,8 +105,8 @@ def run_method(
         return MethodRun(r.community, r.delta_star if r.community else None, r.elapsed_s)
     if method == "exact":
         r = exact_cs(
-            g, q, k, gamma=gamma, stats=stats, fvals=None, model=model,
-            max_states=exact_max_states,
+            g, q, k, gamma=gamma, stats=stats, model=model,
+            max_states=EXACT_MAX_STATES,
         )
         return MethodRun(r.community, r.delta if r.community else None, r.elapsed_s)
     if method == "acq":
@@ -123,17 +119,17 @@ def run_method(
         r = evac_search(g, q, k, gamma=gamma, stats=stats, model=model)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return MethodRun(r.community, _delta_of(prep, q, r.community, fvals), r.elapsed_s)
+    d = delta(fvals, r.community, q) if r.community else None
+    return MethodRun(r.community, d, r.elapsed_s)
 
 
 def exact_ground_truth(
-    prep: PreparedDataset, q: int, k: int, fvals: Dict[int, float],
-    model: str = "core", max_states: int = 2_000_000,
+    prep: PreparedDataset, q: int, k: int, model: str = "core"
 ) -> Optional[float]:
     """δ of the exact community — the relative-error reference."""
     r = exact_cs(
         prep.graph, q, k, gamma=prep.gamma, stats=prep.stats,
-        model=model, max_states=max_states,
+        model=model, max_states=EXACT_MAX_STATES,
     )
     return r.delta if r.community is not None else None
 
@@ -147,6 +143,4 @@ def relative_error(approx: Optional[float], exact: Optional[float]) -> Optional[
 
 def fvals_for(prep: PreparedDataset, q: int) -> Dict[int, float]:
     """Composite distances of every query-graph node to q."""
-    return composite_distances_local(
-        prep.graph, q, prep.gamma, prep.stats, nodes=list(prep.graph.adj)
-    )
+    return composite_distances_local(prep.graph, q, prep.gamma, prep.stats)

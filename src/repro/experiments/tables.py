@@ -2,15 +2,17 @@
 
 Each ``tableN`` function returns ``(rows, meta)`` where ``rows`` is a
 list of dicts (one per printed table row) and ``meta`` records the
-parameters used; ``format_rows`` renders them like the paper. The
-paper-vs-ours numbers live in EXPERIMENTS.md; jobs/*.py are the
-spark-submit entry points and benchmarks/*.py the pytest-benchmark
-wrappers.
+workload (k, query count, e, seed, …); ``format_rows`` renders them like
+the paper. The defaults of each ``tableN`` are the workload recorded in
+``benchmarks/tables_output.txt`` and EXPERIMENTS.md, and :data:`TABLES`
+is the one list of tables: ``jobs/tables.py`` prints them and
+``benchmarks/test_bench_tables.py`` times them, both through
+:func:`run_table`.
 """
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from repro.metrics import (
 )
 
 from .harness import (
-    PreparedDataset,
     exact_ground_truth,
     fvals_for,
     pick_queries,
@@ -36,11 +37,11 @@ from .harness import (
 )
 
 
-def format_rows(rows: List[Dict], columns: Optional[Sequence[str]] = None) -> str:
+def format_rows(rows: List[Dict]) -> str:
     """Render rows as a fixed-width text table."""
     if not rows:
         return "(empty)"
-    cols = list(columns) if columns else list(rows[0].keys())
+    cols = list(rows[0].keys())
     def fmt(v):
         if v is None:
             return "-"
@@ -122,7 +123,8 @@ def table1(spark=None, datasets: Sequence[str] = tuple(TABLE1_DATASETS)) -> Tupl
 # Table II — attribute cohesiveness under four metrics (Facebook)
 # ---------------------------------------------------------------------------
 
-TABLE2_METHODS = [
+# the rows of Tables II and III, in the paper's order
+METHODS = [
     ("SEA (Ours)", "sea"),
     ("LocATC-Core", "locatc"),
     ("ACQ-Core", "acq"),
@@ -132,7 +134,7 @@ TABLE2_METHODS = [
 ]
 
 
-def table2(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tuple[List[Dict], Dict]:
+def table2(k: int = 5, n_queries: int = 8, e: float = 0.10, seed: int = 3) -> Tuple[List[Dict], Dict]:
     """Table II: every method scored under all four attribute metrics.
 
     Smaller is better for Min-max and δ; larger is better for ATC
@@ -146,7 +148,7 @@ def table2(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
     for q in queries:
         fv = fvals_for(prep, q)
         scores: Dict[str, Dict[str, float]] = {}
-        for label, method in TABLE2_METHODS:
+        for label, method in METHODS:
             r = run_method(method, prep, q, k, fv, e=e, seed=seed)
             if not r.community:
                 break
@@ -167,7 +169,7 @@ def table2(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
             )
             for m in ("minmax", "atc", "shared", "delta")
         }
-        for label, _ in TABLE2_METHODS
+        for label, _ in METHODS
     }
 
     def ranks(metric: str, descending: bool) -> Dict[str, int]:
@@ -184,10 +186,10 @@ def table2(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
     r_shared = ranks("shared", descending=True)
     r_delta = ranks("delta", descending=False)
     rows = []
-    for label, _ in TABLE2_METHODS:
+    for label, _ in METHODS:
         m = means[label]
         total = sum(
-            r.get(label, len(TABLE2_METHODS))
+            r.get(label, len(METHODS))
             for r in (r_minmax, r_atc, r_shared, r_delta)
         )
         rows.append(
@@ -204,21 +206,13 @@ def table2(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
                 "Total rank": total,
             }
         )
-    return rows, {"k": k, "n_queries": len(queries), "e": e}
+    return rows, {"k": k, "n_queries": len(queries), "e": e, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
 # Table III — F1 score w.r.t. ground-truth communities
 # ---------------------------------------------------------------------------
 
-TABLE3_METHODS = [
-    ("SEA (Ours)", "sea"),
-    ("LocATC-Core", "locatc"),
-    ("ACQ-Core", "acq"),
-    ("VAC-Core", "vac"),
-    ("Exact (Ours)", "exact"),
-    ("E-VAC-Core", "evac"),
-]
 # The paper could not finish Exact beyond LiveJournal nor E-VAC beyond
 # Facebook within a week; we honour the same availability mask so the
 # table shape matches (our capped runs would otherwise fill the cells).
@@ -228,10 +222,10 @@ TABLE3_MASK = {
 }
 
 
-def table3(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tuple[List[Dict], Dict]:
+def table3(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 3) -> Tuple[List[Dict], Dict]:
     """Table III: F1 of each method's community vs the planted GT."""
     rows = []
-    for label, method in TABLE3_METHODS:
+    for label, method in METHODS:
         row: Dict[str, object] = {"Method": label}
         for name in HA_GT_DATASETS:
             if label in TABLE3_MASK and name not in TABLE3_MASK[label]:
@@ -247,7 +241,7 @@ def table3(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
                 scores.append(f1_score(r.community or set(), gt))
             row[name] = float(np.mean(scores)) if scores else None
         rows.append(row)
-    return rows, {"k": k, "n_queries": n_queries, "e": e}
+    return rows, {"k": k, "n_queries": n_queries, "e": e, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,7 @@ TABLE4_CONFIGS = [
 
 
 def table4(
-    k: int = 5, n_queries: int = 3, seed: int = 0, cap: int = 60_000
+    k: int = 4, n_queries: int = 3, seed: int = 3, cap: int = 60_000
 ) -> Tuple[List[Dict], Dict]:
     """Table IV: total runtime and #states per pruning configuration.
 
@@ -290,7 +284,7 @@ def table4(
             row[f"{label} time(s)"] = round(total_t, 3)
             row[f"{label} #states"] = (">" if capped else "") + str(total_s)
         rows.append(row)
-    return rows, {"k": k, "n_queries": n_queries, "cap": cap}
+    return rows, {"k": k, "n_queries": n_queries, "cap": cap, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +305,7 @@ TABLE5_TRUSS = [
 ]
 
 
-def table5(k: int = 4, n_queries: int = 3, e: float = 0.10, seed: int = 0) -> Tuple[List[Dict], Dict]:
+def table5(k: int = 4, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tuple[List[Dict], Dict]:
     """Table V: core- and truss-based methods on the 5 hetero datasets.
 
     Every method runs on the meta-path projection (§VI-A); the relative
@@ -330,7 +324,7 @@ def table5(k: int = 4, n_queries: int = 3, e: float = 0.10, seed: int = 0) -> Tu
         for q in queries:
             fv = fvals_for(prep, q)
             gt = {
-                model: exact_ground_truth(prep, q, k, fv, model=model)
+                model: exact_ground_truth(prep, q, k, model=model)
                 for model in ("core", "truss")
             }
             per_ds[name][q] = {"fv": fv, "gt": gt}
@@ -352,7 +346,7 @@ def table5(k: int = 4, n_queries: int = 3, e: float = 0.10, seed: int = 0) -> Tu
             row[f"{name} Time(ms)"] = float(np.mean(times)) if times else None
             row[f"{name} Err(%)"] = float(np.mean(errs)) if errs else None
         rows.append(row)
-    return rows, {"k": k, "n_queries": n_queries, "e": e}
+    return rows, {"k": k, "n_queries": n_queries, "e": e, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -365,51 +359,39 @@ def table6(
     bounds: Sequence[Tuple[int, int]] = ((8, 16), (12, 20)),
     e: float = 0.12,
     seed: int = 1,
-    query: Optional[int] = None,
 ) -> Tuple[List[Dict], Dict]:
     """Table VI: per-round δ*, MoE, ΔS, time, error on IMDB.
 
     The paper's case study (q = Robert De Niro) uses size bounds
     [10,30] / [30,50]; our planted communities hold ~20 members, so the
-    bounds scale to [8,16] / [12,20] (DESIGN.md §3). When no query is
-    given, the first candidate whose trace shows the paper's
-    fail-then-refine pattern (≥2 rounds on some bound, every bound
-    eventually satisfied) is selected deterministically.
+    bounds scale to [8,16] / [12,20] (DESIGN.md §3). The query is the
+    first candidate whose trace shows the paper's fail-then-refine
+    pattern (≥2 rounds on some bound, every bound eventually satisfied),
+    selected deterministically.
     """
     prep = prepare("imdb")
-    if query is not None:
-        q = query
+
+    def traces(q: int):
+        fv = fvals_for(prep, q)
+        return [
+            sea_search(
+                prep.graph, q,
+                SEAParams(k=k, gamma=prep.gamma, e=e, seed=seed, size_bound=b),
+                fvals=fv, stats=prep.stats,
+            )
+            for b in bounds
+        ]
+
+    for q in pick_queries(prep, k, 8, seed):
+        runs = traces(q)
+        if all(r.satisfied for r in runs) and any(len(r.rounds) >= 2 for r in runs):
+            break
     else:
-        q = None
-        for cand in pick_queries(prep, k, 8, seed):
-            fv_c = fvals_for(prep, cand)
-            runs = [
-                sea_search(
-                    prep.graph, cand,
-                    SEAParams(k=k, gamma=prep.gamma, e=e, seed=seed,
-                              size_bound=(lo, hi)),
-                    fvals=fv_c, stats=prep.stats,
-                )
-                for lo, hi in bounds
-            ]
-            if all(r.satisfied for r in runs) and any(
-                len(r.rounds) >= 2 for r in runs
-            ):
-                q = cand
-                break
-        if q is None:
-            q = pick_queries(prep, k, 1, seed)[0]
-    fv = fvals_for(prep, q)
-    gt = exact_ground_truth(prep, q, k, fv)
+        q = pick_queries(prep, k, 1, seed)[0]
+        runs = traces(q)
+    gt = exact_ground_truth(prep, q, k)
     rows = []
-    for lo, hi in bounds:
-        r = sea_search(
-            prep.graph, q,
-            SEAParams(
-                k=k, gamma=prep.gamma, e=e, seed=seed, size_bound=(lo, hi)
-            ),
-            fvals=fv, stats=prep.stats,
-        )
+    for (lo, hi), r in zip(bounds, runs):
         for rd in r.rounds:
             err = relative_error(rd.delta_star, gt)
             rows.append(
@@ -423,4 +405,23 @@ def table6(
                     "Err(%)": round(err * 100, 2) if err is not None else None,
                 }
             )
-    return rows, {"k": k, "e": e, "query": q, "gt_delta": gt}
+    return rows, {"k": k, "e": e, "seed": seed, "query": q, "gt_delta": gt}
+
+
+TABLES: Dict[int, Tuple[str, Callable[[], Tuple[List[Dict], Dict]]]] = {
+    1: ("Table I — dataset statistics", table1),
+    2: ("Table II — attribute cohesiveness (facebook)", table2),
+    3: ("Table III — F1 vs ground truth", table3),
+    4: ("Table IV — pruning effect on Exact", table4),
+    5: ("Table V — heterogeneous graphs", table5),
+    6: ("Table VI — size-bounded case study", table6),
+}
+
+
+def run_table(number: int) -> Tuple[List[Dict], str]:
+    """Run one table at its recorded workload; return its rows and the
+    text that records it (a title line naming the workload, then the
+    table)."""
+    title, fn = TABLES[number]
+    rows, meta = fn()
+    return rows, f"\n{title} ({meta})\n{format_rows(rows)}\n"

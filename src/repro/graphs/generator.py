@@ -14,18 +14,15 @@ a fresh degree-2 bridge node): the graph stays globally connected — BFS
 neighbourhoods and sampling cross communities — while any k≥3 core peels
 the bridges away, so the maximal connected k-core containing q stays
 community-sized and the exact ground truth (needed for every relative-
-error table) is computable. ``cross_mode="direct"`` gives plain cross
-edges instead, which glue all communities into one giant k-core — exactly
-the regime where the paper reports Exact taking ">8 days"; Table IV's
-uncapped-vs-capped contrast uses this. Attributes are
-community-correlated:
+error table) is computable. Attributes are community-correlated:
 
-* textual: each community owns a topic token set; a node carries the topic
-  tokens (each dropped with ``t_noise``) plus random global tokens;
+* textual: each community owns ``N_TOPIC_TOKENS`` topic tokens; a node
+  carries them (each dropped with probability ``T_NOISE``) plus
+  ``N_GLOBAL_TOKENS`` random global tokens;
 * numerical: each community has a centre in ``[0,1]^d``; node values are
   the centre plus Gaussian noise, clipped to [0,1].
 
-An ``impostor_frac`` fraction of each community's members are
+An ``IMPOSTOR_FRAC`` fraction of each community's members are
 **impostors**: structurally embedded exactly like any member, but with
 attributes drawn from a *different* community's topic and centre, and
 excluded from ``communities``/``ha_gt``. They are the Fig.-1 "dissimilar
@@ -40,6 +37,9 @@ meta-path projection T–B–T provably recovers the planted graph — which
 both mirrors the paper's (k,P)-core setting and gives tests an exact
 oracle for the projection dataflow. Additional flavour node/edge types
 (venues, topics, …) hang off bridge nodes.
+
+The recipe constants below are fixed: every dataset in
+:mod:`.datasets`, and so every recorded table, is generated with them.
 """
 from __future__ import annotations
 
@@ -49,6 +49,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .local import LocalGraph
+
+IMPOSTOR_FRAC = 0.25  # share of each community's members that are impostors
+N_TOPIC_TOKENS = 3  # topic tokens per community
+N_GLOBAL_TOKENS = 1  # random global tokens per member
+T_NOISE = 0.08  # probability that a member drops one of its topic tokens
+FLAVOUR_FANOUT = 3  # a flavour type gets ~|bridges| / (4·FLAVOUR_FANOUT) hubs
+GLOBAL_VOCAB = [f"g{j}" for j in range(50)]
 
 
 @dataclass
@@ -72,9 +79,9 @@ def _planted_edges(
     p_in: float,
     m_out: int,
     n_total: int,
-    cross_mode: str,
 ) -> Tuple[List[Tuple[int, int]], int]:
-    """Intra-community edges plus cross links; returns (edges, n_bridges).
+    """Intra-community edges plus bridge-path cross links; returns
+    (edges, n_bridges).
 
     Bridge node ids are allocated contiguously from ``n_total`` upward.
     """
@@ -98,15 +105,10 @@ def _planted_edges(
         a, b = int(rng.integers(n_total)), int(rng.integers(n_total))
         if a == b:
             continue
-        if cross_mode == "bridge":
-            w = n_total + n_bridges
-            n_bridges += 1
-            edges.add((min(a, w), max(a, w)))
-            edges.add((min(b, w), max(b, w)))
-        elif cross_mode == "direct":
-            edges.add((min(a, b), max(a, b)))
-        else:
-            raise ValueError(f"unknown cross_mode {cross_mode!r}")
+        w = n_total + n_bridges
+        n_bridges += 1
+        edges.add((min(a, w), max(a, w)))
+        edges.add((min(b, w), max(b, w)))
     return sorted(edges), n_bridges
 
 
@@ -114,24 +116,20 @@ def _attach_attributes(
     rng: np.random.Generator,
     communities: Dict[int, int],  # node -> community whose attributes it carries
     n_comms: int,
-    n_topic_tokens: int,
-    n_global_tokens: int,
-    t_noise: float,
     n_dim: int,
     n_sigma: float,
-    textual: bool = True,
+    textual: bool,
 ) -> Tuple[Dict[int, frozenset], Dict[int, np.ndarray]]:
     topics = {
-        c: [f"t{c}_{j}" for j in range(n_topic_tokens)] for c in range(n_comms)
+        c: [f"t{c}_{j}" for j in range(N_TOPIC_TOKENS)] for c in range(n_comms)
     }
-    global_vocab = [f"g{j}" for j in range(50)]
     centres = rng.random((n_comms, n_dim))
     tattrs: Dict[int, frozenset] = {}
     nattrs: Dict[int, np.ndarray] = {}
     for v, c in communities.items():
         if textual:
-            kept = [t for t in topics[c] if rng.random() >= t_noise]
-            extra = list(rng.choice(global_vocab, size=n_global_tokens, replace=False))
+            kept = [t for t in topics[c] if rng.random() >= T_NOISE]
+            extra = list(rng.choice(GLOBAL_VOCAB, size=N_GLOBAL_TOKENS, replace=False))
             tattrs[v] = frozenset(kept + extra)
         else:
             tattrs[v] = frozenset()
@@ -147,11 +145,6 @@ def planted_homogeneous(
     p_in: float,
     m_out: int,
     seed: int,
-    cross_mode: str = "bridge",
-    impostor_frac: float = 0.25,
-    n_topic_tokens: int = 3,
-    n_global_tokens: int = 1,
-    t_noise: float = 0.08,
     n_dim: int = 2,
     n_sigma: float = 0.05,
     textual: bool = True,
@@ -159,7 +152,7 @@ def planted_homogeneous(
     """Planted-partition homogeneous attributed graph.
 
     ``communities``/``ha_gt`` cover the genuine community members only;
-    bridge nodes (``cross_mode="bridge"``) and impostors belong to no
+    bridge nodes and impostors belong to no
     planted community — they are the dissimilar nodes a good community
     search must keep out of its result.
     """
@@ -168,11 +161,11 @@ def planted_homogeneous(
     order = rng.permutation(n)
     comm_nodes = [order[c * comm_size : (c + 1) * comm_size] for c in range(n_comms)]
     membership = {int(v): c for c, nodes in enumerate(comm_nodes) for v in nodes}
-    edges, n_bridges = _planted_edges(rng, comm_nodes, p_in, m_out, n, cross_mode)
+    edges, n_bridges = _planted_edges(rng, comm_nodes, p_in, m_out, n)
     # impostors: structural members whose attributes come from elsewhere
     impostors: Set[int] = set()
     attr_comm = dict(membership)
-    n_imp = int(round(impostor_frac * comm_size))
+    n_imp = int(round(IMPOSTOR_FRAC * comm_size))
     if n_imp > 0 and n_comms > 1:
         for c, nodes in enumerate(comm_nodes):
             for v in rng.choice(nodes, size=n_imp, replace=False):
@@ -182,8 +175,7 @@ def planted_homogeneous(
                 attr_comm[v] = foreign if foreign < c else foreign + 1
     communities = {v: c for v, c in membership.items() if v not in impostors}
     tattrs, nattrs = _attach_attributes(
-        rng, attr_comm, n_comms, n_topic_tokens, n_global_tokens,
-        t_noise, n_dim, n_sigma, textual,
+        rng, attr_comm, n_comms, n_dim, n_sigma, textual
     )
     if textual:
         # an impostor keeps ONE home-topic token (the Fig.-1 action movies
@@ -194,14 +186,13 @@ def planted_homogeneous(
             # sorted() keeps the generated graph identical across
             # processes (frozenset order is hash-randomised)
             tattrs[v] = frozenset(
-                sorted(tattrs[v])[: max(1, n_topic_tokens - 1)]
+                sorted(tattrs[v])[: N_TOPIC_TOKENS - 1]
                 + [f"t{home}_0"]
             )
-    global_vocab = [f"g{j}" for j in range(50)]
     for b in range(n, n + n_bridges):
         if textual:
             tattrs[b] = frozenset(
-                rng.choice(global_vocab, size=n_topic_tokens, replace=False)
+                rng.choice(GLOBAL_VOCAB, size=N_TOPIC_TOKENS, replace=False)
             )
         else:
             tattrs[b] = frozenset()
@@ -223,15 +214,9 @@ def planted_heterogeneous(
     p_in: float,
     m_out: int,
     seed: int,
-    cross_mode: str = "bridge",
-    impostor_frac: float = 0.25,
     target_type: str = "A",
     bridge_type: str = "P",
     flavour_types: Sequence[str] = ("V",),
-    flavour_fanout: int = 3,
-    n_topic_tokens: int = 3,
-    n_global_tokens: int = 1,
-    t_noise: float = 0.08,
     n_dim: int = 2,
     n_sigma: float = 0.05,
     textual: bool = True,
@@ -242,14 +227,11 @@ def planted_heterogeneous(
     target–target edge becomes target–bridge–target through a fresh bridge
     node, so the meta-path (target, bridge, target) projection returns
     exactly the planted homogeneous graph. Each flavour type adds hub nodes
-    that ``flavour_fanout`` bridge nodes link to (venue/topic-style).
+    that bridge nodes link to (venue/topic-style).
     """
     base = planted_homogeneous(
         n_comms=n_comms, comm_size=comm_size, p_in=p_in, m_out=m_out, seed=seed,
-        cross_mode=cross_mode, impostor_frac=impostor_frac,
-        n_topic_tokens=n_topic_tokens,
-        n_global_tokens=n_global_tokens, t_noise=t_noise, n_dim=n_dim,
-        n_sigma=n_sigma, textual=textual,
+        n_dim=n_dim, n_sigma=n_sigma, textual=textual,
     )
     rng = np.random.default_rng(seed + 1)
     n_targets = base.graph.num_nodes
@@ -272,7 +254,7 @@ def planted_heterogeneous(
                 edges.append((v, b))
                 edges.append((b, u))
     for ft in flavour_types:
-        n_hubs = max(1, len(bridge_ids) // max(1, flavour_fanout)) // 4 or 1
+        n_hubs = max(1, len(bridge_ids) // FLAVOUR_FANOUT) // 4 or 1
         hubs = []
         for _ in range(n_hubs):
             h = next_id

@@ -202,7 +202,7 @@ def delete_with_kcore_maintenance(
                 if deg[w] < k:
                     queue.append(w)
     if q not in nodes:
-        return set(), removed + []
+        return set(), removed
     comp = connected_component(g, q, nodes)
     removed.extend(nodes - comp)
     return comp, removed

@@ -1,5 +1,5 @@
 """Attribute-distance and cohesiveness metrics."""
-from .cohesiveness import acq_shared, atc_coverage, delta_metric, f1_score, vac_minmax
+from .cohesiveness import acq_shared, atc_coverage, f1_score, vac_minmax
 from .distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -20,7 +20,6 @@ __all__ = [
     "composite_distances",
     "composite_distances_local",
     "delta",
-    "delta_metric",
     "f1_score",
     "jaccard_distance",
     "norm_stats_local",

@@ -16,29 +16,11 @@ Table II scores every method's community under four metrics:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Optional, Set
-
-import numpy as np
+from typing import Optional, Set
 
 from repro.graphs.local import LocalGraph
 
-from .distance import DEFAULT_GAMMA, NormStats, delta, norm_stats_local, pair_distance
-
-
-def delta_metric(
-    g: LocalGraph,
-    community: Set[int],
-    q: int,
-    gamma: float = DEFAULT_GAMMA,
-    stats: Optional[NormStats] = None,
-    fvals: Optional[Dict[int, float]] = None,
-) -> float:
-    """δ(H) — the paper's metric (Definition 4)."""
-    if fvals is None:
-        from .distance import composite_distances_local
-
-        fvals = composite_distances_local(g, q, gamma, stats, nodes=community)
-    return delta(fvals, community, q)
+from .distance import DEFAULT_GAMMA, NormStats, norm_stats_local, pair_distance
 
 
 def vac_minmax(

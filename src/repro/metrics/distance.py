@@ -25,7 +25,7 @@ should be queried with γ=1 (γ=0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -57,10 +57,9 @@ class NormStats:
         return out
 
 
-def norm_stats_local(g: LocalGraph, nodes: Optional[Iterable[int]] = None) -> NormStats:
-    """Min/max per numerical dimension over ``nodes`` (default: all)."""
-    ids = list(nodes) if nodes is not None else list(g.adj)
-    vecs = [g.nattrs[v] for v in ids if v in g.nattrs and len(g.nattrs[v])]
+def norm_stats_local(g: LocalGraph) -> NormStats:
+    """Min/max per numerical dimension over every node of ``g``."""
+    vecs = [g.nattrs[v] for v in g.adj if v in g.nattrs and len(g.nattrs[v])]
     if not vecs:
         return NormStats((), ())
     arr = np.stack(vecs)
@@ -91,13 +90,11 @@ def pair_distance(
     g: LocalGraph,
     u: int,
     v: int,
-    gamma: float = DEFAULT_GAMMA,
-    stats: Optional[NormStats] = None,
+    gamma: float,
+    stats: NormStats,
 ) -> float:
     """Composite distance f(u,v) between two nodes (local)."""
     ft = jaccard_distance(g.tattrs.get(u, frozenset()), g.tattrs.get(v, frozenset()))
-    if stats is None:
-        stats = norm_stats_local(g)
     if stats.ndim == 0:
         fn = 0.0
     else:
@@ -114,10 +111,11 @@ def composite_distances_local(
     stats: Optional[NormStats] = None,
     nodes: Optional[Iterable[int]] = None,
 ) -> Dict[int, float]:
-    """f(v,q) for every node (local twin of :func:`composite_distances`)."""
+    """f(v,q) for ``nodes`` (default: every node), normalised over the
+    whole graph (local twin of :func:`composite_distances`)."""
     ids = list(nodes) if nodes is not None else list(g.adj)
     if stats is None:
-        stats = norm_stats_local(g, ids)
+        stats = norm_stats_local(g)
     qt = g.tattrs.get(q, frozenset())
     out: Dict[int, float] = {}
     if stats.ndim:

@@ -1,4 +1,6 @@
 """Tests for the planted-partition generators and the dataset registry."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,45 @@ class TestRegistry:
         g = load("facebook")
         cor = core_decomposition(g.graph)
         assert sum(1 for v in cor.values() if v >= 5) > 300
+
+
+# (nodes, edges, fingerprint) of every registered dataset. The recipe is
+# frozen: a change to the generator that moves any dataset changes every
+# recorded table, so it must show up here first.
+PINNED = {
+    "facebook": (866, 3438, "c4406f8fc11e68da"),
+    "github": (1420, 4332, "51fc864ec5b1f328"),
+    "twitch": (1157, 4716, "b4b4400d0d6d9273"),
+    "livejournal": (3900, 14861, "469ac580c9cfdc00"),
+    "twitter": (8400, 29351, "7c9346a0d3f730e0"),
+    "orkut": (1680, 6390, "6f5a9b400d6b863f"),
+    "amazon": (1272, 4154, "5440aa363a0c7313"),
+    "dblp": (3870, 10608, "7e9fe396a2b96f3a"),
+    "imdb": (5341, 11886, "a9bab1090a5a811b"),
+    "dbpedia": (2804, 9350, "21fa1d7f27a343a2"),
+    "yago": (2883, 8036, "7d98ef57f0b3cb6f"),
+    "freebase": (3597, 13494, "d9bd6302fc74b644"),
+}
+
+
+def _fingerprint(gen):
+    """SHA-256 prefix of the sorted edges, every node's attributes and
+    type, and the planted membership."""
+    g = gen.graph
+    h = hashlib.sha256()
+    for u in sorted(g.adj):
+        for v in sorted(w for w in g.adj[u] if w > u):
+            h.update(f"{u}-{v};".encode())
+    for v in sorted(g.adj):
+        nat = ",".join(float(x).hex() for x in g.nattrs[v])
+        ntype = g.ntypes[v] if g.ntypes else ""
+        h.update(f"{v}:{sorted(g.tattrs[v])}:{nat}:{ntype};".encode())
+    h.update(repr(sorted(gen.communities.items())).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_recipe_pinned(name):
+    gen = load(name)
+    assert PINNED.keys() == REGISTRY.keys()
+    assert (gen.graph.num_nodes, gen.graph.num_edges, _fingerprint(gen)) == PINNED[name]

@@ -125,6 +125,15 @@ class TestCompositeDistances:
         outside = np.mean([f[v] for v in tiny.graph.adj if v not in comm])
         assert inside < outside
 
+    def test_subset_matches_whole_graph(self, tiny):
+        """f(v,q) does not depend on which other nodes are asked about."""
+        subset = [0, 1, 2, 3, 4]
+        part = composite_distances_local(tiny.graph, 0, 0.5, nodes=subset)
+        whole = composite_distances_local(tiny.graph, 0, 0.5)
+        assert set(part) == set(subset)
+        for v in subset:
+            assert part[v] == pytest.approx(whole[v], abs=1e-12)
+
     def test_jaccard_oracle(self, tiny, tiny_spark):
         """γ=1 distance (pure Jaccard) against a DuckDB token-table oracle."""
         q = sorted(tiny.graph.adj)[3]

@@ -1,7 +1,9 @@
 """Integration tests: the Table I–VI harnesses produce the paper's shapes.
 
-Kept cheap (1–2 queries); the full-size runs live in benchmarks/ and
-jobs/ and are recorded in EXPERIMENTS.md.
+Kept cheap (1–3 queries). The recorded runs use each ``tableN``'s
+defaults: ``jobs/tables.py`` prints them, ``benchmarks/test_bench_tables.py``
+times them into ``benchmarks/tables_output.txt``, and EXPERIMENTS.md
+discusses them.
 """
 import numpy as np
 import pytest
