@@ -1,8 +1,9 @@
 """Micro-benchmarks: the per-query costs behind the tables.
 
 SEA vs the exact/baseline methods on a fixed facebook query (the Fig. 5c
-response-time comparison at our scale; SEA's time includes its distance
-pass), plus the Spark dataflows of the Spark SEA front end.
+response-time comparison at our scale; SEA's time includes computing
+f(·,q) for the nodes its G_q search reaches), plus the Spark dataflows of
+the Spark SEA front end.
 """
 import pytest
 

@@ -32,7 +32,7 @@ def locatc_search(
     qt = g.tattrs.get(q, frozenset())
     score = atc_coverage(g, comm, q)
     improved = True
-    while improved and len(comm) > k + 1:
+    while improved and len(comm) > cm.min_size(k):
         improved = False
         # examine members that share the fewest attributes with q first
         order = sorted(

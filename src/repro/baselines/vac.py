@@ -52,7 +52,7 @@ def vac_search(
         return None
     if stats is None:
         stats = norm_stats_local(g)
-    while len(comm) > k + 1:
+    while len(comm) > cm.min_size(k):
         m, u, v = _worst_pair(g, comm, gamma, stats)
         improved = False
         for x in (u, v):

@@ -29,7 +29,6 @@ from repro.metrics.distance import (
     NormStats,
     composite_distances_local,
     delta,
-    norm_stats_local,
 )
 
 INF = float("inf")
@@ -82,8 +81,6 @@ def exact_cs(
     min_others = cm.min_size(k) - 1
     if not root:
         return ExactResult(None, INF, 0, 0, 0, time.perf_counter() - t0, False)
-    if stats is None:
-        stats = norm_stats_local(g)
     fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
 
     best_delta, best_comm = delta(fvals, root, q), set(root)
@@ -161,8 +158,6 @@ def brute_force_cs(
     root = maximal(g, q, k)
     if not root:
         return None, INF
-    if stats is None:
-        stats = norm_stats_local(g)
     fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
     others = sorted(root - {q})
     best_c, best_d = None, INF

@@ -19,6 +19,8 @@ all-local path used by the per-query experiment harnesses, while
 evaluation, neighbourhood BFS, induced subgraph) as Spark dataflows and
 collects only G_q; weighted sampling and everything after it run on the
 driver — the same split the complexity analysis of §V-D assumes.
+f(·,q) is read only for G_q: :func:`sea_search` computes it lazily as its
+best-first BFS grows G_q, :func:`sea_search_spark` collects it with G_q.
 """
 from __future__ import annotations
 
@@ -127,28 +129,33 @@ class SEAResult:
 
 
 def _best_first_neighborhood(
-    g: LocalGraph, q: int, fvals: Dict[int, float], min_size: int
-) -> List[int]:
+    g: LocalGraph, q: int, gamma: float, stats: NormStats, min_size: int
+) -> Tuple[List[int], Dict[int, float]]:
     """Best-first BFS from q: expand smallest-f nodes first (§V-A).
 
     The local twin of ``spark_core.bfs.prioritized_neighborhood``; stops
-    at ``min_size`` nodes or when q's component is exhausted.
+    at ``min_size`` nodes or when q's component is exhausted. f(·,q) is
+    computed lazily in batches — q first, then the unseen neighbours of
+    each expanded node — so it is evaluated for G_q and the final
+    frontier only. Returns G_q in expansion order and those f values.
     """
+    fvals = composite_distances_local(g, q, gamma, stats, nodes=[q])
     seen = {q}
-    out = [q]
-    heap: List[Tuple[float, int]] = []
-    for u in g.adj[q]:
-        if u not in seen:
-            seen.add(u)
-            heapq.heappush(heap, (fvals.get(u, 1.0), u))
-    while heap and len(out) < min_size:
-        f, v = heapq.heappop(heap)
+    out: List[int] = []
+    heap: List[Tuple[float, int]] = [(fvals[q], q)]
+    while heap:
+        _, v = heapq.heappop(heap)
         out.append(v)
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                heapq.heappush(heap, (fvals.get(u, 1.0), u))
-    return out
+        if len(out) >= min_size:
+            break
+        new = [u for u in g.adj[v] if u not in seen]
+        if new:
+            seen.update(new)
+            f_new = composite_distances_local(g, q, gamma, stats, nodes=new)
+            fvals.update(f_new)
+            for u in new:
+                heapq.heappush(heap, (f_new[u], u))
+    return out, fvals
 
 
 def _weighted_sample(
@@ -163,7 +170,7 @@ def _weighted_sample(
     if not pool:
         return []
     n = min(n, len(pool))
-    w = np.array([max(1.0 - fvals.get(v, 1.0), 1e-12) for v in pool])
+    w = np.array([max(1.0 - fvals[v], 1e-12) for v in pool])
     p = w / w.sum()
     return [int(v) for v in rng.choice(pool, size=n, replace=False, p=p)]
 
@@ -182,7 +189,6 @@ def sea_search(
     g: LocalGraph,
     q: int,
     params: SEAParams,
-    fvals: Optional[Dict[int, float]] = None,
     stats: Optional[NormStats] = None,
 ) -> SEAResult:
     """All-local SEA search (Problem 2, Approx-CS-AG)."""
@@ -190,11 +196,9 @@ def sea_search(
         raise ValueError(f"query node {q} is not in the graph")
     t0 = time.perf_counter()
     min_gq = _min_gq(g.num_nodes, params)
-    if fvals is None:
-        if stats is None:
-            stats = norm_stats_local(g)
-        fvals = composite_distances_local(g, q, params.gamma, stats)
-    gq = _best_first_neighborhood(g, q, fvals, min_gq)
+    if stats is None:
+        stats = norm_stats_local(g)
+    gq, fvals = _best_first_neighborhood(g, q, params.gamma, stats, min_gq)
     t_s1 = time.perf_counter() - t0
     return _sample_estimate_loop(
         g, q, params, fvals, gq, min_gq, sampling_s=t_s1, started=t0
@@ -344,10 +348,12 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     stats = norm_stats_spark(graph.nodes)
     fdf = composite_distances(graph, q, params.gamma, stats)
     gq_df = prioritized_neighborhood(symmetrize(graph.edges), fdf, q, min_gq)
-    sub = graph.induced(gq_df.select("id"))
-    edges_pdf = sub.edges.select("src", "dst").toPandas()
     gq_pdf = gq_df.toPandas()
     fvals = {int(r.id): float(r.f) for r in gq_pdf.itertuples()}
+    if q not in fvals:
+        raise ValueError(f"query node {q} is not in the graph")
+    sub = graph.induced(gq_df.select("id"))
+    edges_pdf = sub.edges.select("src", "dst").toPandas()
     g_local = LocalGraph.from_edges(
         list(zip(edges_pdf["src"], edges_pdf["dst"])),
         nodes=[int(i) for i in gq_pdf["id"]],

@@ -3,7 +3,6 @@ from .harness import (
     MethodRun,
     PreparedDataset,
     exact_ground_truth,
-    fvals_for,
     pick_queries,
     prepare,
     relative_error,
@@ -27,7 +26,6 @@ __all__ = [
     "PreparedDataset",
     "exact_ground_truth",
     "format_rows",
-    "fvals_for",
     "pick_queries",
     "prepare",
     "relative_error",

@@ -7,12 +7,15 @@ supports the requested k (following [22]'s random-query protocol but
 restricted to feasible queries); heterogeneous queries are target-typed
 nodes of the meta-path projection (following [7], with each dataset's
 canonical meta-path standing in for the top-frequency ones).
+
+Each method computes f(·,q) for the nodes it reads, inside its timer; δ
+of a returned community comes from f over its members only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -82,7 +85,6 @@ def run_method(
     prep: PreparedDataset,
     q: int,
     k: int,
-    fvals: Dict[int, float],
     model: str = "core",
     e: float = 0.10,
     seed: int = 0,
@@ -100,7 +102,7 @@ def run_method(
             # per-query stream: deterministic, but a bad draw on one
             # query does not repeat on every other
             SEAParams(k=k, gamma=gamma, model=model, e=e, seed=seed + q),
-            fvals=fvals, stats=stats,
+            stats=stats,
         )
         return MethodRun(r.community, r.delta_star if r.community else None, r.elapsed_s)
     if method == "exact":
@@ -119,8 +121,10 @@ def run_method(
         r = evac_search(g, q, k, gamma=gamma, stats=stats, model=model)
     else:
         raise ValueError(f"unknown method {method!r}")
-    d = delta(fvals, r.community, q) if r.community else None
-    return MethodRun(r.community, d, r.elapsed_s)
+    if not r.community:
+        return MethodRun(r.community, None, r.elapsed_s)
+    fvals = composite_distances_local(g, q, gamma, stats, nodes=r.community)
+    return MethodRun(r.community, delta(fvals, r.community, q), r.elapsed_s)
 
 
 def exact_ground_truth(
@@ -139,8 +143,3 @@ def relative_error(approx: Optional[float], exact: Optional[float]) -> Optional[
     if approx is None or exact is None or exact == 0:
         return None
     return abs(approx - exact) / exact
-
-
-def fvals_for(prep: PreparedDataset, q: int) -> Dict[int, float]:
-    """Composite distances of every query-graph node to q."""
-    return composite_distances_local(prep.graph, q, prep.gamma, prep.stats)

@@ -12,7 +12,7 @@ is the one list of tables: ``jobs/tables.py`` prints them and
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from repro.graphs.local import core_decomposition
 from repro.metrics import (
     acq_shared,
     atc_coverage,
+    composite_distances_local,
     delta,
     f1_score,
     vac_minmax,
@@ -29,7 +30,6 @@ from repro.metrics import (
 
 from .harness import (
     exact_ground_truth,
-    fvals_for,
     pick_queries,
     prepare,
     relative_error,
@@ -146,12 +146,14 @@ def table2(k: int = 5, n_queries: int = 8, e: float = 0.10, seed: int = 3) -> Tu
     # the same workload across methods
     per_q: Dict[int, Dict[str, Dict[str, float]]] = {}
     for q in queries:
-        fv = fvals_for(prep, q)
         scores: Dict[str, Dict[str, float]] = {}
         for label, method in METHODS:
-            r = run_method(method, prep, q, k, fv, e=e, seed=seed)
+            r = run_method(method, prep, q, k, e=e, seed=seed)
             if not r.community:
                 break
+            fv = composite_distances_local(
+                prep.graph, q, prep.gamma, prep.stats, nodes=r.community
+            )
             scores[label] = {
                 "minmax": vac_minmax(prep.graph, r.community, prep.gamma, prep.stats),
                 "atc": atc_coverage(prep.graph, r.community, q),
@@ -235,8 +237,7 @@ def table3(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 3) -> Tu
             queries = pick_queries(prep, k, n_queries, seed)
             scores = []
             for q in queries:
-                fv = fvals_for(prep, q)
-                r = run_method(method, prep, q, k, fv, e=e, seed=seed)
+                r = run_method(method, prep, q, k, e=e, seed=seed)
                 gt = prep.gen.community_of(q)
                 scores.append(f1_score(r.community or set(), gt))
             row[name] = float(np.mean(scores)) if scores else None
@@ -316,31 +317,29 @@ def table5(k: int = 4, n_queries: int = 5, e: float = 0.10, seed: int = 0) -> Tu
     plans = [(lbl, m, "core") for lbl, m in TABLE5_CORE] + [
         (lbl, m, "truss") for lbl, m in TABLE5_TRUSS
     ]
-    per_ds: Dict[str, Dict[int, Dict[str, object]]] = {}
+    # exact δ per dataset, query and model: the relative-error reference
+    per_ds: Dict[str, Dict[int, Dict[str, Optional[float]]]] = {}
     for name in TABLE5_DATASETS:
         prep = prepare(name)
         queries = pick_queries(prep, k, n_queries, seed)
-        per_ds[name] = {}
-        for q in queries:
-            fv = fvals_for(prep, q)
-            gt = {
+        per_ds[name] = {
+            q: {
                 model: exact_ground_truth(prep, q, k, model=model)
                 for model in ("core", "truss")
             }
-            per_ds[name][q] = {"fv": fv, "gt": gt}
+            for q in queries
+        }
     for label, method, model in plans:
         row: Dict[str, object] = {"Method": label}
         for name in TABLE5_DATASETS:
             prep = prepare(name)
             times, errs = [], []
-            for q, ctx in per_ds[name].items():
-                r = run_method(
-                    method, prep, q, k, ctx["fv"], model=model, e=e, seed=seed
-                )
+            for q, gt in per_ds[name].items():
+                r = run_method(method, prep, q, k, model=model, e=e, seed=seed)
                 if r.community is None:
                     continue
                 times.append(r.elapsed_s * 1e3)
-                err = relative_error(r.delta, ctx["gt"][model])
+                err = relative_error(r.delta, gt[model])
                 if err is not None:
                     errs.append(err * 100)
             row[f"{name} Time(ms)"] = float(np.mean(times)) if times else None
@@ -372,12 +371,11 @@ def table6(
     prep = prepare("imdb")
 
     def traces(q: int):
-        fv = fvals_for(prep, q)
         return [
             sea_search(
                 prep.graph, q,
                 SEAParams(k=k, gamma=prep.gamma, e=e, seed=seed, size_bound=b),
-                fvals=fv, stats=prep.stats,
+                stats=prep.stats,
             )
             for b in bounds
         ]

@@ -11,11 +11,13 @@
   over a reference node population (the whole graph, or the target-typed
   nodes of a heterogeneous graph).
 
-The distance of every node to q is computed locally by
-:func:`composite_distances_local` and, for ``sea_search_spark``, as a
-Spark dataflow by :func:`composite_distances` (with
-:func:`norm_stats_spark`); tests check the Spark path against the local
-one and against DuckDB SQL oracles. δ(H) is computed on the driver.
+Locally, :func:`composite_distances_local` computes f(·,q) for the nodes
+a caller names — SEA for the nodes its best-first BFS reaches, Exact for
+its root community, the experiment harness for a returned community — and
+each value is the same whichever other nodes are asked about. For
+``sea_search_spark``, :func:`composite_distances` is the Spark dataflow
+(with :func:`norm_stats_spark`); tests check the Spark path against the
+local one and against DuckDB SQL oracles. δ(H) is computed on the driver.
 
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
 non-empty is maximally distant (fᵗ=1). A constant numerical dimension

@@ -22,15 +22,15 @@ def prioritized_neighborhood(
 
     ``edges_sym``: symmetric edges; ``fvals``: ``id, f`` composite
     attribute distances to q (from :mod:`repro.metrics.distance`).
-    Returns ``id, f`` for the selected nodes, q included. Each round admits
-    at least one unvisited node or stops, so the loop ends within |V|
-    rounds.
+    Returns ``id, f`` for the selected nodes, q included; when q has no
+    row in ``fvals`` (it is not in the graph) the result is empty. Each
+    round admits at least one unvisited node or stops, so the loop ends
+    within |V| rounds.
     """
     spark = edges_sym.sparkSession
     visited = (
         spark.createDataFrame([(q,)], "id long")
-        .join(fvals, "id", "left")
-        .select("id", F.coalesce("f", F.lit(0.0)).alias("f"))
+        .join(fvals, "id")
         .localCheckpoint()
     )
     frontier = visited.select("id")
@@ -41,8 +41,7 @@ def prioritized_neighborhood(
             .select(F.col("dst").alias("id"))
             .distinct()
             .join(visited.select("id"), "id", "left_anti")
-            .join(fvals, "id", "left")
-            .select("id", F.coalesce("f", F.lit(1.0)).alias("f"))
+            .join(fvals, "id")
             .localCheckpoint()
         )
         n_layer = layer.count()

@@ -99,6 +99,11 @@ class TestLocATC:
         g = LocalGraph.from_edges([(0, 1)])
         assert locatc_search(g, 0, k=3).community is None
 
+    def test_truss_peels_to_k_nodes(self):
+        """A k-clique is a k-truss, so the truss variant may stop at k nodes."""
+        r = locatc_search(clique_graph(), 0, k=4, model="truss")
+        assert r.community == {0, 1, 2, 3}
+
     def test_truss_model(self, gen, q):
         r = locatc_search(gen.graph, q, k=4, model="truss")
         if r.community is None:
@@ -130,6 +135,11 @@ class TestVAC:
         g = clique_graph()
         r = vac_search(g, 0, k=2)
         assert 4 not in r.community  # the attribute outlier goes first
+
+    def test_truss_peels_to_k_nodes(self):
+        """A k-clique is a k-truss, so the truss variant may stop at k nodes."""
+        r = vac_search(clique_graph(), 0, k=4, model="truss")
+        assert r.community == {0, 1, 2, 3}
 
     def test_evac_at_least_as_good_as_vac(self, gen, q):
         stats = norm_stats_local(gen.graph)

@@ -4,11 +4,11 @@ Out-of-range SEA parameters would otherwise pass silently (``alpha=1.5``
 makes the Theorem-11 test vacuous, ``k=0`` returns {q} as satisfied) or
 fail deep inside a loop (``e=-1``, ``alpha=0``); a query node that is not
 in the graph would raise ``KeyError`` from the distance pass (SEA) or
-return no community (Exact).
+return no community (Exact, Spark SEA).
 """
 import pytest
 
-from repro.core import SEAParams, exact_cs, sea_search
+from repro.core import SEAParams, exact_cs, sea_search, sea_search_spark
 
 MISSING = 10**6  # no node of the tiny fixture has this id
 
@@ -50,3 +50,10 @@ def test_bad_input_rejected(tiny, call, named):
     """The error names the offending parameter or query node."""
     with pytest.raises(ValueError, match=named):
         call(tiny.graph)
+
+
+def test_sea_search_spark_missing_q(tiny_spark):
+    """The Spark front end rejects a missing q instead of returning no
+    community from an empty G_q."""
+    with pytest.raises(ValueError, match=str(MISSING)):
+        sea_search_spark(tiny_spark, MISSING, SEAParams(k=4))

@@ -6,7 +6,12 @@ from repro.core import SEAParams, exact_cs, sea_search, sea_search_spark
 from repro.core.sea import _best_first_neighborhood, _weighted_sample
 from repro.graphs import maximal_connected_kcore, maximal_connected_ktruss
 from repro.graphs.generator import planted_homogeneous
-from repro.metrics import composite_distances_local, delta
+from repro.metrics import (
+    DEFAULT_GAMMA,
+    composite_distances_local,
+    delta,
+    norm_stats_local,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,25 +28,63 @@ def q(gen):
 
 
 class TestNeighborhood:
-    def test_best_first_order(self, gen, q):
-        f = composite_distances_local(gen.graph, q)
-        out = _best_first_neighborhood(gen.graph, q, f, 10)
+    @pytest.fixture(scope="class")
+    def stats(self, gen):
+        return norm_stats_local(gen.graph)
+
+    def test_best_first_order(self, gen, q, stats):
+        out, _ = _best_first_neighborhood(gen.graph, q, DEFAULT_GAMMA, stats, 10)
         assert out[0] == q and len(out) == 10
         assert len(set(out)) == 10
 
-    def test_prefers_close_nodes(self, gen, q):
+    def test_prefers_close_nodes(self, gen, q, stats):
         f = composite_distances_local(gen.graph, q)
-        out = _best_first_neighborhood(gen.graph, q, f, 15)
+        out, _ = _best_first_neighborhood(gen.graph, q, DEFAULT_GAMMA, stats, 15)
         rest = [v for v in gen.graph.adj if v not in out]
         assert np.mean([f[v] for v in out[1:]]) < np.mean([f[v] for v in rest])
 
-    def test_caps_at_component(self, gen, q):
-        f = composite_distances_local(gen.graph, q)
+    def test_caps_at_component(self, gen, q, stats):
         from repro.graphs import connected_component
 
         comp = connected_component(gen.graph, q)
-        out = _best_first_neighborhood(gen.graph, q, f, 10**6)
+        out, _ = _best_first_neighborhood(gen.graph, q, DEFAULT_GAMMA, stats, 10**6)
         assert set(out) == comp
+
+    def test_lazy_f_matches_whole_graph(self, gen, q, stats):
+        """The f values the BFS computes are the all-node pass's, bit for bit."""
+        f = composite_distances_local(gen.graph, q)
+        out, fv = _best_first_neighborhood(gen.graph, q, DEFAULT_GAMMA, stats, 40)
+        assert set(out) <= set(fv)
+        assert fv == {v: f[v] for v in fv}
+
+    def test_f_only_where_read(self, monkeypatch):
+        """sea_search asks for f(v,q) once per node it reaches, for every
+        G_q node, and for fewer than |V| nodes when G_q is much smaller."""
+        import repro.core.sea as sea_mod
+        from repro.graphs import core_decomposition
+
+        big = planted_homogeneous(n_comms=60, comm_size=20, p_in=0.5, m_out=200, seed=5)
+        cor = core_decomposition(big.graph)
+        q = next(v for v in sorted(big.communities) if cor[v] >= 5)
+        asked, seen_gq = [], []
+        real_f, real_loop = sea_mod.composite_distances_local, sea_mod._sample_estimate_loop
+
+        def counting_f(g, q, gamma, stats, nodes=None):
+            nodes = list(g.adj) if nodes is None else list(nodes)
+            asked.extend(nodes)
+            return real_f(g, q, gamma, stats, nodes=nodes)
+
+        def capturing_loop(g, q, params, fvals, gq, *args, **kwargs):
+            seen_gq.extend(gq)
+            return real_loop(g, q, params, fvals, gq, *args, **kwargs)
+
+        monkeypatch.setattr(sea_mod, "composite_distances_local", counting_f)
+        monkeypatch.setattr(sea_mod, "_sample_estimate_loop", capturing_loop)
+        r = sea_search(big.graph, q, SEAParams(k=4, seed=1))
+        assert r.community and len(seen_gq) == r.gq_size
+        assert len(asked) == len(set(asked))
+        assert set(seen_gq) <= set(asked)
+        assert len(asked) < big.graph.num_nodes
 
 
 class TestWeightedSample:

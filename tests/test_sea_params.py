@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import SEAParams, sea_search
-from repro.experiments import fvals_for, pick_queries, prepare
+from repro.experiments import pick_queries, prepare
 from repro.metrics import composite_distances_local
 
 
@@ -28,7 +28,7 @@ def run(prep, q, **kw):
     defaults.update(kw)
     return sea_search(
         prep.graph, q, SEAParams(**defaults),
-        fvals=fvals_for(prep, q), stats=prep.stats,
+        stats=prep.stats,
     )
 
 
