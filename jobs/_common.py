@@ -1,9 +1,8 @@
 """The SparkSession of the jobs that run Spark.
 
-``table1_stats.py`` and ``sea_query.py`` build a local SparkSession
-configured like the test fixture — broadcast joins disabled so the
-shuffle paths are the ones exercised. ``tables.py`` runs on the driver
-and starts none.
+``sea_query.py`` builds a local SparkSession configured like the test
+fixture — broadcast joins disabled so the shuffle paths are the ones
+exercised. ``tables.py`` runs on the driver and starts none.
 """
 from pyspark.sql import SparkSession
 

@@ -1,8 +1,8 @@
 """Print Tables I–VI at the workload recorded in benchmarks/tables_output.txt.
 
-Every table runs on the driver (Table I's Spark variant is
-``table1_stats.py``); the workload of each is the defaults of its
-``repro.experiments.tableN`` function, named on the table's title line.
+Every table runs on the driver and starts no Spark; the workload of each
+is the defaults of its ``repro.experiments.tableN`` function, named on the
+table's title line.
 
     python jobs/tables.py [N ...]    # N in 1..6; default: all six
 """

@@ -40,7 +40,7 @@ def locatc_search(
             key=lambda v: len(qt & g.tattrs.get(v, frozenset())),
         )
         for v in order[:_TRIES_PER_STEP]:
-            cand, _ = cm.delete(g, comm, q, k, v)
+            cand = cm.maximal(g, q, k, within=comm - {v})
             if not cand:
                 continue
             s = atc_coverage(g, cand, q)

@@ -7,6 +7,7 @@ attributes — the '-' cells of Table V).
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Set
@@ -23,6 +24,7 @@ class BaselineResult:
 def timed(fn):
     """Wrap a search body so it returns a BaselineResult with wall time."""
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> BaselineResult:
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)

@@ -58,7 +58,7 @@ def vac_search(
         for x in (u, v):
             if x == q:
                 continue
-            cand, _ = cm.delete(g, comm, q, k, x)
+            cand = cm.maximal(g, q, k, within=comm - {x})
             if cand and _worst_pair(g, cand, gamma, stats)[0] < m:
                 comm = cand
                 improved = True
@@ -114,7 +114,7 @@ def evac_search(
         if states >= max_states:
             capped = True
             break
-        cand, _ = cm.delete(g, state, q, k, x)
+        cand = cm.maximal(g, q, k, within=state - {x})
         states += 1
         key = frozenset(cand)
         if cand and key not in seen:

@@ -115,11 +115,12 @@ def exact_cs(
         if max_states is not None and states >= max_states:
             capped = True
             break
-        new_state, removed = cm.delete(g, state, q, k, v)
+        new_state = cm.maximal(g, q, k, within=state - {v})
         states += 1
         if not new_state:
             continue  # q collapsed out — dead branch
-        f_vm = max(fvals[u] for u in removed)
+        # v, the cascade and the nodes cut off from q
+        f_vm = max(fvals[u] for u in state - new_state)
         if prune_duplicate and f_vm > f_u:
             dup += 1
             continue  # Theorem 4: duplicates an earlier state

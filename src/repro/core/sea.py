@@ -258,10 +258,10 @@ def _sample_estimate_loop(
                 d = sum(vals) / len(vals) if vals else 0.0
                 if d < cand_delta:
                     cand_best, cand_delta = set(state), d
-            if len(state) <= max(lo, min_size):
+            if len(state) <= lo:
                 break  # peeling further cannot yield a valid community
             worst = max((v for v in state if v != q), key=lambda v: fvals[v])
-            state, _ = model.delete(g, state, q, params.k, worst)
+            state = model.maximal(g, q, params.k, within=state - {worst})
         # ---- BLB estimation with the Theorem-11 acceptance test ----
         est: Optional[BLBEstimate] = None
         if cand_best is not None:

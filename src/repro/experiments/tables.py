@@ -19,14 +19,7 @@ import numpy as np
 from repro.core import SEAParams, exact_cs, sea_search
 from repro.graphs.datasets import HA_GT_DATASETS, TABLE1_DATASETS, load
 from repro.graphs.local import core_decomposition
-from repro.metrics import (
-    acq_shared,
-    atc_coverage,
-    composite_distances_local,
-    delta,
-    f1_score,
-    vac_minmax,
-)
+from repro.metrics import acq_shared, atc_coverage, f1_score, vac_minmax
 
 from .harness import (
     exact_ground_truth,
@@ -63,34 +56,16 @@ def format_rows(rows: List[Dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def table1(spark=None, datasets: Sequence[str] = tuple(TABLE1_DATASETS)) -> Tuple[List[Dict], Dict]:
+def table1(datasets: Sequence[str] = tuple(TABLE1_DATASETS)) -> Tuple[List[Dict], Dict]:
     """Table I: #Nodes, #Edges, #N/E-types, d_max/avg, k_max/avg.
 
-    With a SparkSession the counts and degree statistics run as Spark
-    aggregations over the node/edge DataFrames; coreness is the local
-    Batagelj–Zaveršnik pass either way (O(|E|)).
+    Counts and degrees come from the driver-side graph; coreness is the
+    Batagelj–Zaveršnik pass (O(|E|)).
     """
     rows = []
     for name in datasets:
-        gen = load(name)
-        g = gen.graph
-        if spark is not None:
-            from pyspark.sql import functions as F
-
-            from repro.graphs import AttributedGraph
-            from repro.spark_core import degrees
-
-            ag = AttributedGraph.from_local(spark, g)
-            n_nodes = ag.num_nodes()
-            n_edges = ag.num_edges()
-            deg = degrees(ag.edges).agg(
-                F.max("degree").alias("dmax"), F.avg("degree").alias("davg")
-            ).collect()[0]
-            d_max, d_avg = int(deg.dmax), float(deg.davg)
-        else:
-            n_nodes, n_edges = g.num_nodes, g.num_edges
-            ds = [g.degree(v) for v in g.adj]
-            d_max, d_avg = int(max(ds)), float(np.mean(ds))
+        g = load(name).graph
+        ds = [g.degree(v) for v in g.adj]
         cor = core_decomposition(g)
         ntypes = len(set(g.ntypes.values())) if g.ntypes else 1
         if g.ntypes:
@@ -106,12 +81,12 @@ def table1(spark=None, datasets: Sequence[str] = tuple(TABLE1_DATASETS)) -> Tupl
         rows.append(
             {
                 "Dataset": name,
-                "#Nodes": n_nodes,
-                "#Edges": n_edges,
+                "#Nodes": g.num_nodes,
+                "#Edges": g.num_edges,
                 "#N-types": ntypes,
                 "#E-types": etypes,
-                "d_max": d_max,
-                "d_avg": round(d_avg, 2),
+                "d_max": int(max(ds)),
+                "d_avg": round(float(np.mean(ds)), 2),
                 "k_max": max(cor.values()),
                 "k_avg": round(float(np.mean(list(cor.values()))), 2),
             }
@@ -151,14 +126,11 @@ def table2(k: int = 5, n_queries: int = 8, e: float = 0.10, seed: int = 3) -> Tu
             r = run_method(method, prep, q, k, e=e, seed=seed)
             if not r.community:
                 break
-            fv = composite_distances_local(
-                prep.graph, q, prep.gamma, prep.stats, nodes=r.community
-            )
             scores[label] = {
                 "minmax": vac_minmax(prep.graph, r.community, prep.gamma, prep.stats),
                 "atc": atc_coverage(prep.graph, r.community, q),
                 "shared": acq_shared(prep.graph, r.community, q),
-                "delta": delta(fv, r.community, q),
+                "delta": r.delta,
             }
         else:
             per_q[q] = scores

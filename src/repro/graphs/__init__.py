@@ -7,8 +7,6 @@ from .local import (
     community_model,
     connected_component,
     core_decomposition,
-    delete_with_kcore_maintenance,
-    delete_with_ktruss_maintenance,
     kcore_nodes,
     ktruss_edges,
     maximal_connected_kcore,
@@ -24,8 +22,6 @@ __all__ = [
     "community_model",
     "connected_component",
     "core_decomposition",
-    "delete_with_kcore_maintenance",
-    "delete_with_ktruss_maintenance",
     "kcore_nodes",
     "ktruss_edges",
     "maximal_connected_kcore",

@@ -7,8 +7,8 @@
 * ``edges``: ``src: long, dst: long`` stored canonically (``src < dst``,
   deduplicated, no self-loops) plus an optional ``etype: string`` column.
 
-The Spark dataflows (Table I degrees, and the distance pass, G_q BFS and
-induced subgraph of ``sea_search_spark``) consume these frames; the
+The Spark dataflows (the distance pass, G_q BFS and induced subgraph of
+``sea_search_spark``) consume these frames; the
 driver-side inner loops consume the collected
 :class:`repro.graphs.local.LocalGraph`.
 """

@@ -1,7 +1,7 @@
 """Driver-side graph representation and graph algorithms.
 
 The paper's per-query inner loops (branch-and-bound enumeration, greedy
-peeling, k-core/k-truss maintenance after a deletion) are sequential and
+peeling, the community left after a deletion) are sequential and
 operate on small candidate subgraphs (a maximal connected k-core, or the
 induced graph of a sample), so they run on a :class:`LocalGraph` in
 driver memory — mirroring how the original single-machine Java
@@ -9,7 +9,8 @@ implementation runs them. ``sea_search_spark`` collects its G_q into one.
 
 Tests check core decomposition, k-core, k-truss and connected components
 against ``networkx``. :func:`community_model` is the one place that maps
-a model name ("core", "truss") to its algorithms.
+a model name ("core", "truss") to its algorithms; every peel step is its
+``maximal(g, q, k, within=state - {v})``.
 """
 from __future__ import annotations
 
@@ -50,12 +51,6 @@ class LocalGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def subgraph(self, keep: Iterable[int]) -> "LocalGraph":
-        """Node-induced subgraph (attribute dicts are shared, not copied)."""
-        keep = set(keep)
-        adj = {v: self.adj[v] & keep for v in keep}
-        return LocalGraph(adj, self.tattrs, self.nattrs, self.ntypes)
-
     @staticmethod
     def from_edges(
         edges: Iterable[Tuple[int, int]],
@@ -79,7 +74,7 @@ class LocalGraph:
 
 
 # ---------------------------------------------------------------------------
-# Core decomposition and k-core maintenance
+# Core decomposition and k-core
 # ---------------------------------------------------------------------------
 
 
@@ -174,40 +169,6 @@ def maximal_connected_kcore(
     return connected_component(g, q, core)
 
 
-def delete_with_kcore_maintenance(
-    g: LocalGraph, state: Set[int], q: int, k: int, v: int
-) -> Tuple[Set[int], List[int]]:
-    """Delete ``v`` from a connected-k-core state and restore the invariant.
-
-    Cascade-removes nodes whose degree drops below ``k``, then restricts to
-    q's component. Returns ``(new_state, removed)`` where ``removed`` lists
-    every node that left the state (v first; includes nodes cut off by the
-    connectivity restriction, which the duplicate-pruning rule of §IV-B
-    must also see). ``new_state`` is ∅ when q itself is removed.
-    """
-    nodes = set(state)
-    nodes.discard(v)
-    removed = [v]
-    deg = {u: sum(1 for w in g.adj[u] if w in nodes) for u in nodes}
-    queue = deque(u for u in g.adj[v] if u in nodes and deg[u] < k)
-    while queue:
-        u = queue.popleft()
-        if u not in nodes:
-            continue
-        nodes.discard(u)
-        removed.append(u)
-        for w in g.adj[u]:
-            if w in nodes:
-                deg[w] -= 1
-                if deg[w] < k:
-                    queue.append(w)
-    if q not in nodes:
-        return set(), removed
-    comp = connected_component(g, q, nodes)
-    removed.extend(nodes - comp)
-    return comp, removed
-
-
 # ---------------------------------------------------------------------------
 # k-truss
 # ---------------------------------------------------------------------------
@@ -248,40 +209,11 @@ def maximal_connected_ktruss(
     Peels edges to the maximal k-truss, then walks q's component over the
     surviving edges. Returns ∅ when q has no surviving edge.
     """
-    edges = ktruss_edges(g, k, within)
     adj: Dict[int, Set[int]] = {}
-    for v, u in edges:
+    for v, u in ktruss_edges(g, k, within):
         adj.setdefault(v, set()).add(u)
         adj.setdefault(u, set()).add(v)
-    if q not in adj:
-        return set()
-    seen = {q}
-    queue = deque([q])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
-def delete_with_ktruss_maintenance(
-    g: LocalGraph, state: Set[int], q: int, k: int, v: int
-) -> Tuple[Set[int], List[int]]:
-    """Truss twin of :func:`delete_with_kcore_maintenance`.
-
-    Recomputes the connected k-truss of ``state − v`` (states are small, so
-    recomputation beats incremental bookkeeping here) and reports every node
-    that left the state, v first.
-    """
-    nodes = set(state)
-    nodes.discard(v)
-    comp = maximal_connected_ktruss(g, q, k, within=nodes)
-    removed = [v] + sorted(state - {v} - comp)
-    if not comp:
-        return set(), removed
-    return comp, removed
+    return connected_component(LocalGraph(adj), q)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +226,20 @@ class CommunityModel:
     """What a community is: the structure every search method peels inside.
 
     ``maximal(g, q, k, within=None)`` is the maximal connected community of
-    q; ``delete(g, state, q, k, v)`` removes v from a community and restores
-    the invariant; ``min_size(k)`` is the fewest nodes such a community can
-    have — k+1 for a k-core, k for a k-truss (§VI-C), which is also
-    Theorem 10's Hoeffding ``m``.
+    q inside ``within`` (∅ if none). It is also the one peel step of §IV and
+    §V-B: deleting v from a community ``state`` leaves
+    ``maximal(g, q, k, within=state - {v})``. ``min_size(k)`` is the fewest
+    nodes such a community can have — k+1 for a k-core, k for a k-truss
+    (§VI-C), which is also Theorem 10's Hoeffding ``m``.
     """
 
     maximal: Callable[..., Set[int]]
-    delete: Callable[[LocalGraph, Set[int], int, int, int], Tuple[Set[int], List[int]]]
     min_size: Callable[[int], int]
 
 
 COMMUNITY_MODELS: Dict[str, CommunityModel] = {
-    "core": CommunityModel(
-        maximal_connected_kcore, delete_with_kcore_maintenance, lambda k: k + 1
-    ),
-    "truss": CommunityModel(
-        maximal_connected_ktruss, delete_with_ktruss_maintenance, lambda k: k
-    ),
+    "core": CommunityModel(maximal_connected_kcore, lambda k: k + 1),
+    "truss": CommunityModel(maximal_connected_ktruss, lambda k: k),
 }
 
 

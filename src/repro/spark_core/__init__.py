@@ -1,10 +1,10 @@
-"""Spark DataFrame dataflows: edge symmetrisation, degrees (Table I) and
-the G_q neighbourhood BFS of the Spark SEA front end."""
+"""Spark DataFrame dataflows of the Spark SEA front end: edge
+symmetrisation, edge restriction to a node set and the G_q neighbourhood
+BFS."""
 from .bfs import prioritized_neighborhood
-from .degrees import degrees, symmetrize
+from .degrees import symmetrize
 
 __all__ = [
-    "degrees",
     "prioritized_neighborhood",
     "symmetrize",
 ]

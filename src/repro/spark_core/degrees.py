@@ -1,4 +1,4 @@
-"""Edge-list dataflows: symmetrisation, restriction to a node set, degrees."""
+"""Edge-list dataflows: symmetrisation and restriction to a node set."""
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -20,15 +20,3 @@ def restrict_edges(edges: DataFrame, ids: DataFrame) -> DataFrame:
         .select(edges.columns)
     )
 
-
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-node degree from a canonical undirected edge list.
-
-    Returns ``id: long, degree: long``. Nodes with no edges do not appear
-    (join against the node table and ``coalesce`` to 0 when needed).
-    """
-    return (
-        symmetrize(edges)
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.count("*").alias("degree"))
-    )

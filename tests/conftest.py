@@ -1,5 +1,4 @@
 """Shared fixtures: datasets (local + Spark) built once per session."""
-import pandas as pd
 import pytest
 
 from repro.graphs import AttributedGraph
@@ -18,12 +17,6 @@ def tiny_spark(spark, tiny):
     g = AttributedGraph.from_local(spark, tiny.graph).cache()
     g.num_nodes()  # materialise
     return g
-
-
-@pytest.fixture(scope="session")
-def tiny_edges_pdf(tiny):
-    rows = [(v, u) for v in tiny.graph.adj for u in tiny.graph.adj[v] if v < u]
-    return pd.DataFrame(rows, columns=["src", "dst"])
 
 
 @pytest.fixture(scope="session")

@@ -165,3 +165,13 @@ class TestVAC:
     def test_timing_recorded(self, gen, q):
         r = vac_search(gen.graph, q, k=4)
         assert r.elapsed_s > 0
+
+
+@pytest.mark.parametrize(
+    "fn", [acq_search, evac_search, locatc_search, vac_search],
+    ids=["acq_search", "evac_search", "locatc_search", "vac_search"],
+)
+def test_timed_keeps_name_and_doc(fn):
+    """``timed`` passes the wrapped search's name and docstring through."""
+    assert fn.__name__.endswith("_search")
+    assert fn.__doc__ and fn.__doc__.strip()

@@ -9,8 +9,6 @@ from repro.core import SEAParams, brute_force_cs, exact_cs, sea_search
 from repro.graphs import (
     LocalGraph,
     community_model,
-    delete_with_kcore_maintenance,
-    delete_with_ktruss_maintenance,
     maximal_connected_kcore,
     maximal_connected_ktruss,
 )
@@ -28,14 +26,19 @@ class TestTable:
     def test_core(self):
         m = community_model("core")
         assert m.maximal is maximal_connected_kcore
-        assert m.delete is delete_with_kcore_maintenance
         assert m.min_size(4) == 5  # a k-core has at least k+1 nodes
+        # the peel step: deleting 4 from the 5-clique leaves a 4-clique,
+        # a 3-core; deleting one more node leaves no 3-core at all
+        assert m.maximal(clique(5), 0, 3, within=set(range(5)) - {4}) == {0, 1, 2, 3}
+        assert m.maximal(clique(5), 0, 3, within={0, 1, 2, 3} - {3}) == set()
 
     def test_truss(self):
         m = community_model("truss")
         assert m.maximal is maximal_connected_ktruss
-        assert m.delete is delete_with_ktruss_maintenance
         assert m.min_size(4) == 4  # a k-truss has at least k nodes (§VI-C)
+        # a 4-clique is a 4-truss; without one of its nodes it is none
+        assert m.maximal(clique(5), 0, 4, within=set(range(5)) - {4}) == {0, 1, 2, 3}
+        assert m.maximal(clique(5), 0, 4, within={0, 1, 2, 3} - {3}) == set()
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown model 'clique'"):

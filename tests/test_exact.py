@@ -154,3 +154,25 @@ class TestOnPlantedGraph:
         gt = gen.community_of(q)
         # the attribute-cohesive community stays inside q's planted community
         assert len(r.community & gt) / len(r.community) > 0.8
+
+
+# (q, states, pruned_duplicate, pruned_unpromising) of Table IV's three
+# facebook queries (k=4, seed 3) with every pruning on
+TABLE4_FACEBOOK_COUNTS = [
+    (47, 2984, 1460, 14),
+    (104, 13160, 8147, 177),
+    (495, 4110, 3189, 0),
+]
+
+
+def test_table4_facebook_counts_pinned():
+    """The enumeration explores exactly the recorded states: a change to
+    the peel step or to a pruning rule shows up here."""
+    from repro.experiments.harness import pick_queries, prepare
+
+    prep = prepare("facebook")
+    got = []
+    for q in pick_queries(prep, 4, 3, seed=3):
+        r = exact_cs(prep.graph, q, 4, gamma=prep.gamma, stats=prep.stats)
+        got.append((q, r.states, r.pruned_duplicate, r.pruned_unpromising))
+    assert got == TABLE4_FACEBOOK_COUNTS

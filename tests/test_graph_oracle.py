@@ -83,3 +83,16 @@ def test_models_match_networkx(graph, k):
         assert connected_component(graph, q, set(core)) == component(core, q)
         assert maximal_connected_kcore(graph, q, k) == component(core, q)
         assert maximal_connected_ktruss(graph, q, k) == component(truss, q)
+        # the peel step: q's community without one member v is q's
+        # component in the k-core (k-truss) of what is left
+        for maximal, nx_model in (
+            (maximal_connected_kcore, nx.k_core),
+            (maximal_connected_ktruss, nx.k_truss),
+        ):
+            C = maximal(graph, q, k)
+            others = sorted(C - {q})
+            for v in others[:: max(1, len(others) // 3)]:
+                rest = C - {v}
+                assert maximal(graph, q, k, within=rest) == component(
+                    nx_model(G.subgraph(rest), k), q
+                )

@@ -6,8 +6,6 @@ from repro.graphs import (
     LocalGraph,
     connected_component,
     core_decomposition,
-    delete_with_kcore_maintenance,
-    delete_with_ktruss_maintenance,
     kcore_nodes,
     ktruss_edges,
     maximal_connected_kcore,
@@ -62,19 +60,6 @@ class TestFromEdges:
         )
         assert g.tattrs[0] == frozenset({"a", "b"})
         assert isinstance(g.nattrs[0], np.ndarray)
-
-
-class TestSubgraph:
-    def test_induced(self):
-        g = LocalGraph.from_edges(clique(4))
-        s = g.subgraph({0, 1, 2})
-        assert s.num_nodes == 3
-        assert s.num_edges == 3
-
-    def test_edges_outside_dropped(self):
-        g = LocalGraph.from_edges([(0, 1), (1, 2)])
-        s = g.subgraph({0, 1})
-        assert s.adj[1] == {0}
 
 
 class TestCoreDecomposition:
@@ -151,26 +136,30 @@ class TestConnectedComponent:
 
 
 class TestKCoreMaintenance:
+    """The peel step: deleting v from a connected k-core ``state`` leaves
+    ``maximal_connected_kcore(g, q, k, within=state - {v})``."""
+
     def test_simple_delete_no_cascade(self):
         g = LocalGraph.from_edges(clique(5))
-        state, removed = delete_with_kcore_maintenance(g, set(range(5)), 0, 3, 4)
+        state0 = set(range(5))
+        state = maximal_connected_kcore(g, 0, 3, within=state0 - {4})
         assert state == {0, 1, 2, 3}
-        assert removed == [4]
+        assert state0 - state == {4}
 
     def test_cascade_collapse(self):
         g = LocalGraph.from_edges(clique(4))
-        state, removed = delete_with_kcore_maintenance(g, set(range(4)), 0, 3, 3)
+        state0 = set(range(4))
+        state = maximal_connected_kcore(g, 0, 3, within=state0 - {3})
         # deleting any node of a 4-clique destroys the 3-core entirely
         assert state == set()
-        assert 0 in removed  # q itself cascades out
+        assert 0 in state0 - state  # q itself cascades out
 
     def test_component_restriction(self, fig2_graph):
         # start from the connected 2-core (nodes 0..8); deleting 8 splits it
         state0 = maximal_connected_kcore(fig2_graph, 0, 2)
-        state, removed = delete_with_kcore_maintenance(fig2_graph, state0, 0, 2, 8)
+        state = maximal_connected_kcore(fig2_graph, 0, 2, within=state0 - {8})
         assert state == {0, 1, 2, 3}
-        assert set(removed) == {8, 4, 5, 6, 7}
-        assert removed[0] == 8
+        assert state0 - state == {8, 4, 5, 6, 7}
 
     def test_invariant_restored(self):
         rng = np.random.default_rng(3)
@@ -182,7 +171,7 @@ class TestKCoreMaintenance:
             pytest.skip("random graph has no 3-core")
         q = next(iter(state))
         for v in list(state - {q})[:5]:
-            new, _ = delete_with_kcore_maintenance(g, state, q, k, v)
+            new = maximal_connected_kcore(g, q, k, within=state - {v})
             for u in new:
                 assert sum(1 for w in g.adj[u] if w in new) >= k
             if new:
@@ -207,15 +196,17 @@ class TestTruss:
 
     def test_truss_maintenance(self):
         g = LocalGraph.from_edges(clique(5))
-        state, removed = delete_with_ktruss_maintenance(g, set(range(5)), 0, 4, 4)
+        state0 = set(range(5))
+        state = maximal_connected_ktruss(g, 0, 4, within=state0 - {4})
         assert state == {0, 1, 2, 3}
-        assert removed == [4]
+        assert state0 - state == {4}
 
     def test_truss_maintenance_collapse(self):
         g = LocalGraph.from_edges(clique(4))
-        state, removed = delete_with_ktruss_maintenance(g, set(range(4)), 0, 4, 3)
+        state0 = set(range(4))
+        state = maximal_connected_ktruss(g, 0, 4, within=state0 - {3})
         assert state == set()
-        assert removed[0] == 3
+        assert 3 in state0 - state
 
     def test_ktruss_nodes_are_k1core(self):
         """Every k-truss is a (k-1)-core (used by the SEA truss variant)."""

@@ -1,31 +1,14 @@
-"""Tests for the Spark graph primitives: DuckDB oracles + local twins."""
+"""Tests for the Spark dataflows of the Spark SEA front end: edge
+symmetrisation and the prioritised G_q BFS."""
 import pandas as pd
 import pytest
 
 from repro.graphs import AttributedGraph, LocalGraph
-from repro.oracle import assert_equivalent
-from repro.spark_core import degrees, prioritized_neighborhood, symmetrize
+from repro.spark_core import prioritized_neighborhood, symmetrize
 
 
 class TestDegrees:
-    def test_oracle(self, tiny_spark, tiny_edges_pdf):
-        got = degrees(tiny_spark.edges)
-        assert_equivalent(
-            got,
-            """
-            SELECT id, COUNT(*)::BIGINT AS degree FROM (
-              SELECT src AS id FROM edges
-              UNION ALL
-              SELECT dst AS id FROM edges
-            ) GROUP BY id
-            """,
-            edges=tiny_edges_pdf,
-        )
-
-    def test_matches_local(self, tiny, tiny_spark):
-        got = {r.id: r.degree for r in degrees(tiny_spark.edges).collect()}
-        want = {v: len(nbrs) for v, nbrs in tiny.graph.adj.items() if nbrs}
-        assert got == want
+    """The edge-list module ``spark_core.degrees``."""
 
     def test_symmetrize_doubles(self, tiny_spark):
         assert symmetrize(tiny_spark.edges).count() == 2 * tiny_spark.num_edges()
