@@ -2,8 +2,8 @@
 
 SEA vs the exact/baseline methods on a fixed facebook query (the Fig. 5c
 response-time comparison at our scale; SEA's time includes computing
-f(·,q) for the nodes its G_q search reaches), plus the Spark dataflows of
-the Spark SEA front end.
+f(·,q) for the nodes its G_q search reaches), plus the Spark SEA front
+end: its G_q BFS alone and the whole query.
 """
 import pytest
 
@@ -59,20 +59,25 @@ def test_vac_single_query(benchmark, fb_ctx):
 
 
 @pytest.mark.benchmark(group="spark-dataflow")
-def test_spark_distance_eval(benchmark, spark):
+def test_spark_gq_bfs(benchmark, spark):
+    """The Spark G_q BFS as ``sea_search_spark`` runs it: the facebook
+    query, its Hoeffding ``min_gq``, f(·,q) only for the nodes reached."""
+    from repro.core.sea import _min_gq
     from repro.graphs import AttributedGraph
     from repro.metrics import composite_distances, norm_stats_spark
+    from repro.spark_core import prioritized_neighborhood, symmetrize
 
     prep = prepare("facebook")
     q = pick_queries(prep, 5, 1, 3)[0]
     ag = AttributedGraph.from_local(spark, prep.graph).cache()
-    stats = norm_stats_spark(ag.nodes)
+    min_gq = _min_gq(prep.graph.num_nodes, SEAParams(k=5, gamma=prep.gamma))
+    fdf = composite_distances(ag, q, prep.gamma, norm_stats_spark(ag.nodes))
 
-    n = benchmark.pedantic(
-        lambda: composite_distances(ag, q, prep.gamma, stats).count(),
+    gq = benchmark.pedantic(
+        lambda: prioritized_neighborhood(symmetrize(ag.edges), fdf, q, min_gq),
         rounds=2, iterations=1,
     )
-    assert n == prep.graph.num_nodes
+    assert len(gq) == min_gq
 
 
 @pytest.mark.benchmark(group="spark-dataflow")

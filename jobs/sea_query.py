@@ -1,8 +1,9 @@
 """Run one SEA query end-to-end through the Spark dataflow path.
 
-Distance evaluation, the Hoeffding-sized prioritised BFS, and the
-G_q-induced subgraph all execute as Spark DataFrame jobs
-(``sea_search_spark``); the sample-estimate loop runs on the driver.
+The norm stats, the Hoeffding-sized prioritised BFS (two filtered
+collects per layer: neighbour ids, then f(·,q) for the new ones) and the
+G_q-induced edges are read as Spark DataFrame jobs (``sea_search_spark``);
+the BFS loop state and the sample-estimate loop live on the driver.
 
     spark-submit jobs/sea_query.py [--dataset facebook] [--k 5] [--e 0.1]
 """

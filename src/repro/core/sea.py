@@ -15,12 +15,13 @@ Pipeline (Fig. 4):
 
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
-:func:`sea_search_spark` runs the bulk stages (norm stats, distance
-evaluation, neighbourhood BFS, induced subgraph) as Spark dataflows and
-collects only G_q; weighted sampling and everything after it run on the
-driver — the same split the complexity analysis of §V-D assumes.
-f(·,q) is read only for G_q: :func:`sea_search` computes it lazily as its
-best-first BFS grows G_q, :func:`sea_search_spark` collects it with G_q.
+:func:`sea_search_spark` runs the bulk reads (norm stats, the neighbourhood
+BFS layers with their f(·,q), the G_q-induced edges) as filtered Spark
+collects; weighted sampling and everything after it run on the driver —
+the same split the complexity analysis of §V-D assumes. Both front ends
+evaluate f(·,q) only for the nodes their BFS reaches: :func:`sea_search`
+computes it lazily as its best-first BFS grows G_q,
+:func:`sea_search_spark` filters the distance frame to each new BFS layer.
 """
 from __future__ import annotations
 
@@ -133,11 +134,14 @@ def _best_first_neighborhood(
 ) -> Tuple[List[int], Dict[int, float]]:
     """Best-first BFS from q: expand smallest-f nodes first (§V-A).
 
-    The local twin of ``spark_core.bfs.prioritized_neighborhood``; stops
-    at ``min_size`` nodes or when q's component is exhausted. f(·,q) is
-    computed lazily in batches — q first, then the unseen neighbours of
-    each expanded node — so it is evaluated for G_q and the final
-    frontier only. Returns G_q in expansion order and those f values.
+    Stops at ``min_size`` nodes or when q's component is exhausted. This
+    is not the G_q of ``spark_core.bfs.prioritized_neighborhood``, which
+    admits whole BFS layers and cuts only the last one by f: the heap can
+    follow a chain of similar nodes deeper than those layers reach
+    (DESIGN.md, "G_q on the two front ends"). f(·,q) is computed lazily
+    in batches — q first, then the unseen neighbours of each expanded
+    node — so it is evaluated for G_q and the final frontier only.
+    Returns G_q in expansion order and those f values.
     """
     fvals = composite_distances_local(g, q, gamma, stats, nodes=[q])
     seen = {q}
@@ -330,14 +334,15 @@ def _sample_estimate_loop(
 
 
 def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
-    """SEA with the bulk stages as Spark dataflows.
+    """SEA with the bulk reads as Spark jobs.
 
     ``graph`` is an :class:`repro.graphs.attributed.AttributedGraph`.
-    Distance evaluation, the prioritised BFS and the G_q-induced subgraph
-    run distributed; G_q (id, f and its induced edges) is then collected
-    — it is the Hoeffding-bounded sampling population, orders of
-    magnitude smaller than the graph — and the sample-estimate loop runs
-    on the driver exactly as in :func:`sea_search`.
+    The norm stats, the layer-granular prioritised BFS (which collects
+    each layer's ids and f(·,q) to the driver) and the G_q-induced edges
+    are read from the Spark frames; G_q is the Hoeffding-bounded sampling
+    population, orders of magnitude smaller than the graph, and the
+    sample-estimate loop runs on the driver exactly as in
+    :func:`sea_search`.
     """
     from repro.metrics.distance import composite_distances, norm_stats_spark
     from repro.spark_core.bfs import prioritized_neighborhood
@@ -347,20 +352,16 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     min_gq = _min_gq(graph.num_nodes(), params)
     stats = norm_stats_spark(graph.nodes)
     fdf = composite_distances(graph, q, params.gamma, stats)
-    gq_df = prioritized_neighborhood(symmetrize(graph.edges), fdf, q, min_gq)
-    gq_pdf = gq_df.toPandas()
-    fvals = {int(r.id): float(r.f) for r in gq_pdf.itertuples()}
+    fvals = prioritized_neighborhood(symmetrize(graph.edges), fdf, q, min_gq)
     if q not in fvals:
         raise ValueError(f"query node {q} is not in the graph")
-    sub = graph.induced(gq_df.select("id"))
-    edges_pdf = sub.edges.select("src", "dst").toPandas()
-    g_local = LocalGraph.from_edges(
-        list(zip(edges_pdf["src"], edges_pdf["dst"])),
-        nodes=[int(i) for i in gq_pdf["id"]],
-    )
     # order G_q by distance so the driver-side loop sees the same
     # preferential ordering the BFS produced
-    gq = [int(i) for i in gq_pdf.sort_values(["f", "id"])["id"]]
+    gq = sorted(fvals, key=lambda v: (fvals[v], v))
+    edges_pdf = graph.induced(gq).edges.select("src", "dst").toPandas()
+    g_local = LocalGraph.from_edges(
+        list(zip(edges_pdf["src"], edges_pdf["dst"])), nodes=gq
+    )
     t_s1 = time.perf_counter() - t0
     return _sample_estimate_loop(
         g_local, q, params, fvals, gq, min_gq, sampling_s=t_s1, started=t0

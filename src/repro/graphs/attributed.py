@@ -7,21 +7,20 @@
 * ``edges``: ``src: long, dst: long`` stored canonically (``src < dst``,
   deduplicated, no self-loops) plus an optional ``etype: string`` column.
 
-The Spark dataflows (the distance pass, G_q BFS and induced subgraph of
-``sea_search_spark``) consume these frames; the
+``sea_search_spark`` reads these frames through filtered collects (the
+norm stats, the G_q BFS layers and the G_q-induced edges); the
 driver-side inner loops consume the collected
 :class:`repro.graphs.local.LocalGraph`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
-
-from repro.spark_core.degrees import restrict_edges
 
 from .local import LocalGraph
 
@@ -72,11 +71,12 @@ class AttributedGraph:
         self.edges.cache()
         return self
 
-    def induced(self, keep: DataFrame) -> "AttributedGraph":
-        """Node-induced subgraph; ``keep`` must have an ``id`` column."""
-        ids = keep.select("id").distinct()
+    def induced(self, ids: List[int]) -> "AttributedGraph":
+        """Node-induced subgraph on ``ids``, a driver-side id list such as
+        G_q; both frames are filtered with ``isin``."""
         return AttributedGraph(
-            self.nodes.join(ids, "id"), restrict_edges(self.edges, ids)
+            self.nodes.where(F.col("id").isin(ids)),
+            self.edges.where(F.col("src").isin(ids) & F.col("dst").isin(ids)),
         )
 
     @staticmethod

@@ -15,9 +15,11 @@ Locally, :func:`composite_distances_local` computes f(·,q) for the nodes
 a caller names — SEA for the nodes its best-first BFS reaches, Exact for
 its root community, the experiment harness for a returned community — and
 each value is the same whichever other nodes are asked about. For
-``sea_search_spark``, :func:`composite_distances` is the Spark dataflow
-(with :func:`norm_stats_spark`); tests check the Spark path against the
-local one and against DuckDB SQL oracles. δ(H) is computed on the driver.
+``sea_search_spark``, :func:`composite_distances` is the Spark frame
+(with :func:`norm_stats_spark`); its G_q BFS filters the frame by ``id``
+per layer, so f is evaluated only for the nodes the BFS reaches on that
+path too. Tests check the Spark path against the local one and against
+DuckDB SQL oracles. δ(H) is computed on the driver.
 
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
 non-empty is maximally distant (fᵗ=1). A constant numerical dimension
@@ -138,11 +140,13 @@ def composite_distances(
     gamma: float = DEFAULT_GAMMA,
     stats: Optional[NormStats] = None,
 ) -> DataFrame:
-    """Spark dataflow: ``id, f`` = composite distance of every node to q.
+    """Spark frame: ``id, f`` = composite distance of every node to q.
 
     One crossJoin against the single q row; Jaccard via array functions,
     Manhattan via ``zip_with``/``aggregate`` over min-max-normalised
-    attribute arrays — all Catalyst expressions, no UDFs.
+    attribute arrays — all Catalyst expressions, no UDFs. Catalyst pushes
+    an ``id`` filter on the result below the crossJoin, so a filtered
+    read evaluates f only for the rows it keeps.
     """
     if stats is None:
         stats = norm_stats_spark(graph.nodes)

@@ -1,6 +1,6 @@
 """Spark DataFrame dataflows of the Spark SEA front end: edge
-symmetrisation, edge restriction to a node set and the G_q neighbourhood
-BFS."""
+symmetrisation and the G_q neighbourhood BFS, a driver loop of filtered
+collects."""
 from .bfs import prioritized_neighborhood
 from .degrees import symmetrize
 

@@ -1,4 +1,4 @@
-"""Edge-list dataflows: symmetrisation and restriction to a node set."""
+"""Edge-list dataflow: symmetrisation of the canonical edge list."""
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -9,14 +9,3 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return e.unionByName(
         e.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )
-
-
-def restrict_edges(edges: DataFrame, ids: DataFrame) -> DataFrame:
-    """Edges whose endpoints are both in ``ids`` (an ``id`` column), with
-    every column of ``edges`` kept."""
-    return (
-        edges.join(ids.withColumnRenamed("id", "src"), "src")
-        .join(ids.withColumnRenamed("id", "dst"), "dst")
-        .select(edges.columns)
-    )
-
