@@ -1,8 +1,7 @@
 """The SparkSession of the jobs that run Spark.
 
 ``sea_query.py`` builds a local SparkSession configured like the test
-fixture — broadcast joins disabled so the shuffle paths are the ones
-exercised. ``tables.py`` runs on the driver and starts none.
+fixture. ``tables.py`` runs on the driver and starts none.
 """
 from pyspark.sql import SparkSession
 

@@ -13,27 +13,20 @@ q-centric δ). Two variants, both for k-core and k-truss substrates:
   deletion sequences with memoised states, minimising the min-max
   objective. Exponential — the paper could not finish it on large
   graphs within a week; ``max_states`` caps it and flags the result.
+
+Both take the worst pair from :func:`repro.metrics.cohesiveness.worst_pair`,
+the scan whose value is Table II's min-max metric, so the objective VAC
+minimises and the one the table scores are the same code.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.local import LocalGraph, community_model
-from repro.metrics.distance import DEFAULT_GAMMA, NormStats, norm_stats_local, pair_distance
+from repro.metrics.cohesiveness import worst_pair
+from repro.metrics.distance import DEFAULT_GAMMA, NormStats, norm_stats_local
 
 from .common import timed
-
-
-def _worst_pair(
-    g: LocalGraph, comm: Set[int], gamma: float, stats: NormStats
-) -> Tuple[float, int, int]:
-    m, wu, wv = -1.0, -1, -1
-    for u, v in combinations(sorted(comm), 2):
-        d = pair_distance(g, u, v, gamma, stats)
-        if d > m:
-            m, wu, wv = d, u, v
-    return m, wu, wv
 
 
 @timed
@@ -53,13 +46,13 @@ def vac_search(
     if stats is None:
         stats = norm_stats_local(g)
     while len(comm) > cm.min_size(k):
-        m, u, v = _worst_pair(g, comm, gamma, stats)
+        m, u, v = worst_pair(g, comm, gamma, stats)
         improved = False
         for x in (u, v):
             if x == q:
                 continue
             cand = cm.maximal(g, q, k, within=comm - {x})
-            if cand and _worst_pair(g, cand, gamma, stats)[0] < m:
+            if cand and worst_pair(g, cand, gamma, stats)[0] < m:
                 comm = cand
                 improved = True
                 break
@@ -97,7 +90,7 @@ def evac_search(
 
     def enter(state: Set[int]) -> None:
         nonlocal best_obj, best_comm
-        obj, u, v = _worst_pair(g, state, gamma, stats)
+        obj, u, v = worst_pair(g, state, gamma, stats)
         if obj < best_obj:
             best_obj, best_comm = obj, state
         stack.append((state, iter((u, v))))

@@ -279,44 +279,33 @@ def _sample_estimate_loop(
                 satisfied = True
                 best, best_comm = est, set(cand_best)
         t_s2 += time.perf_counter() - t_round
-        if satisfied or est is None:
-            ds = 0
-            rounds.append(
-                SEARound(
-                    rnd,
-                    est.delta_star if est else float("nan"),
-                    est.moe if est else float("nan"),
-                    ds,
-                    (time.perf_counter() - t_round) * 1e3,
-                    len(sample),
-                    n_cands,
-                )
-            )
-            break
         # ---- error-based incremental sampling (§V-C, Eq. 12) ----
         t_inc = time.perf_counter()
-        ds = incremental_sample_size(est, params.e, params.blb.m)
-        remaining = len(gq) - len(sample)
-        # Eq. 12 scales with |S_blb|, which at laptop-scale communities is
-        # tens of nodes — floor the increment at 10% of the remaining pool
-        # so a failing round always makes material progress
-        ds_applied = min(max(ds, remaining // 10), remaining)
+        done = satisfied or est is None
+        ds = 0 if done else incremental_sample_size(est, params.e, params.blb.m)
         rounds.append(
             SEARound(
-                rnd, est.delta_star, est.moe, ds,
+                rnd, est.delta_star if est else float("nan"),
+                est.moe if est else float("nan"), ds,
                 (time.perf_counter() - t_round) * 1e3, len(sample), n_cands,
             )
         )
-        if ds_applied <= 0:
+        if done:
+            break
+        remaining = len(gq) - len(sample)
+        if remaining == 0:
             t_s3 += time.perf_counter() - t_inc
             break  # G_q exhausted — cannot tighten the CI further
+        # Eq. 12 scales with |S_blb|, which at laptop-scale communities is
+        # tens of nodes — floor the increment at 10% of the remaining pool
+        # so a failing round always makes material progress (ds ≥ 1 here)
+        ds_applied = min(max(ds, remaining // 10), remaining)
         sample |= set(
             _weighted_sample(rng, gq, fvals, ds_applied, exclude=sample)
         )
+        # the sample only grew, so q's community in it did not vanish
         candidate = model.maximal(g, q, params.k, within=sample)
         t_s3 += time.perf_counter() - t_inc
-        if not candidate:
-            break
 
     return SEAResult(
         community=best_comm,

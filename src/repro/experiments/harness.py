@@ -131,11 +131,7 @@ def exact_ground_truth(
     prep: PreparedDataset, q: int, k: int, model: str = "core"
 ) -> Optional[float]:
     """δ of the exact community — the relative-error reference."""
-    r = exact_cs(
-        prep.graph, q, k, gamma=prep.gamma, stats=prep.stats,
-        model=model, max_states=EXACT_MAX_STATES,
-    )
-    return r.delta if r.community is not None else None
+    return run_method("exact", prep, q, k, model).delta
 
 
 def relative_error(approx: Optional[float], exact: Optional[float]) -> Optional[float]:

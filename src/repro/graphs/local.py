@@ -45,9 +45,6 @@ class LocalGraph:
     def num_edges(self) -> int:
         return sum(len(v) for v in self.adj.values()) // 2
 
-    def nodes(self) -> List[int]:
-        return list(self.adj)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

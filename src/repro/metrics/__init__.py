@@ -1,5 +1,5 @@
 """Attribute-distance and cohesiveness metrics."""
-from .cohesiveness import acq_shared, atc_coverage, f1_score, vac_minmax
+from .cohesiveness import acq_shared, atc_coverage, f1_score, vac_minmax, worst_pair
 from .distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -9,7 +9,6 @@ from .distance import (
     jaccard_distance,
     norm_stats_local,
     norm_stats_spark,
-    pair_distance,
 )
 
 __all__ = [
@@ -24,6 +23,6 @@ __all__ = [
     "jaccard_distance",
     "norm_stats_local",
     "norm_stats_spark",
-    "pair_distance",
     "vac_minmax",
+    "worst_pair",
 ]

@@ -11,14 +11,17 @@
   over a reference node population (the whole graph, or the target-typed
   nodes of a heterogeneous graph).
 
-Locally, :func:`composite_distances_local` computes f(·,q) for the nodes
-a caller names — SEA for the nodes its best-first BFS reaches, Exact for
-its root community, the experiment harness for a returned community — and
-each value is the same whichever other nodes are asked about. For
-``sea_search_spark``, :func:`composite_distances` is the Spark frame
-(with :func:`norm_stats_spark`); its G_q BFS filters the frame by ``id``
-per layer, so f is evaluated only for the nodes the BFS reaches on that
-path too. Tests check the Spark path against the local one and against
+On the driver, :func:`composite_distances_local` is the only f. It
+computes f(·,q) for the nodes a caller names — SEA for the nodes its
+best-first BFS reaches, Exact for its root community, the experiment
+harness for a returned community — and each value is the same whichever
+other nodes are asked about. With a member u in q's place it gives one
+row f(u,·), which is how ``metrics.cohesiveness.worst_pair`` reads the
+pairwise distances of VAC's min-max objective; f(u,v) equals f(v,u) bit
+for bit. For ``sea_search_spark``, :func:`composite_distances` is the
+Spark frame (with :func:`norm_stats_spark`); its G_q BFS filters the
+frame by ``id`` per layer, so f is evaluated only for the nodes the BFS
+reaches on that path too. Tests check the Spark path against the local one and against
 DuckDB SQL oracles. δ(H) is computed on the driver.
 
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
@@ -88,24 +91,6 @@ def jaccard_distance(a: frozenset, b: frozenset) -> float:
         return 0.0
     union = len(a | b)
     return 1.0 - len(a & b) / union
-
-
-def pair_distance(
-    g: LocalGraph,
-    u: int,
-    v: int,
-    gamma: float,
-    stats: NormStats,
-) -> float:
-    """Composite distance f(u,v) between two nodes (local)."""
-    ft = jaccard_distance(g.tattrs.get(u, frozenset()), g.tattrs.get(v, frozenset()))
-    if stats.ndim == 0:
-        fn = 0.0
-    else:
-        zu = stats.normalize(g.nattrs[u])
-        zv = stats.normalize(g.nattrs[v])
-        fn = float(np.abs(zu - zv).mean())
-    return gamma * ft + (1 - gamma) * fn
 
 
 def composite_distances_local(

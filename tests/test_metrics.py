@@ -1,9 +1,14 @@
 """Tests for composite distance and cohesiveness metrics (local + Spark + oracle)."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+import repro
 from repro.graphs import AttributedGraph, LocalGraph
 from repro.metrics import (
     NormStats,
@@ -16,8 +21,8 @@ from repro.metrics import (
     jaccard_distance,
     norm_stats_local,
     norm_stats_spark,
-    pair_distance,
     vac_minmax,
+    worst_pair,
 )
 from repro.oracle import assert_equivalent
 
@@ -67,6 +72,11 @@ class TestNormStats:
         assert norm_stats_local(g).ndim == 0
 
 
+def pair_f(g, u, v, gamma, s):
+    """f(u,v) as the driver reads it: row v of the one f, at node u."""
+    return composite_distances_local(g, v, gamma, s, nodes=[u])[u]
+
+
 class TestPairDistance:
     @pytest.fixture()
     def g(self):
@@ -77,26 +87,25 @@ class TestPairDistance:
         )
 
     def test_symmetric(self, g):
+        # exact: worst_pair reads only the upper triangle of f
         s = norm_stats_local(g)
-        assert pair_distance(g, 0, 2, 0.5, s) == pytest.approx(
-            pair_distance(g, 2, 0, 0.5, s)
-        )
+        assert pair_f(g, 0, 2, 0.5, s) == pair_f(g, 2, 0, 0.5, s)
 
     def test_self_zero(self, g):
-        assert pair_distance(g, 0, 0, 0.5, norm_stats_local(g)) == 0.0
+        assert pair_f(g, 0, 0, 0.5, norm_stats_local(g)) == 0.0
 
     def test_gamma_blend(self, g):
         s = norm_stats_local(g)
         # 0 vs 1: identical tokens (ft=0), numeric 0 vs 1 → fn=1
-        assert pair_distance(g, 0, 1, 1.0, s) == 0.0
-        assert pair_distance(g, 0, 1, 0.0, s) == pytest.approx(1.0)
-        assert pair_distance(g, 0, 1, 0.3, s) == pytest.approx(0.7)
+        assert pair_f(g, 0, 1, 1.0, s) == 0.0
+        assert pair_f(g, 0, 1, 0.0, s) == pytest.approx(1.0)
+        assert pair_f(g, 0, 1, 0.3, s) == pytest.approx(0.7)
 
     def test_bounded(self, g):
         s = norm_stats_local(g)
         for u in g.adj:
             for v in g.adj:
-                assert 0.0 <= pair_distance(g, u, v, 0.5, s) <= 1.0
+                assert 0.0 <= pair_f(g, u, v, 0.5, s) <= 1.0
 
 
 class TestCompositeDistances:
@@ -234,7 +243,7 @@ class TestCohesivenessMetrics:
         s = norm_stats_local(g)
         m = vac_minmax(g, {0, 1, 2, 3}, 0.5, s)
         worst = max(
-            pair_distance(g, u, v, 0.5, s)
+            pair_f(g, u, v, 0.5, s)
             for u in range(4)
             for v in range(u + 1, 4)
         )
@@ -242,6 +251,42 @@ class TestCohesivenessMetrics:
 
     def test_vac_singleton(self, g):
         assert vac_minmax(g, {0}, 0.5) == 0.0
+
+    def test_worst_pair_ties_keep_first_sorted_pair(self):
+        # every pair is at the same distance: the scan keeps (min, next)
+        g = LocalGraph.from_edges(
+            [(5, 3), (3, 9), (9, 5), (5, 7)],
+            tattrs={v: ["a"] for v in (3, 5, 7, 9)},
+            nattrs={3: [0.0], 5: [1.0], 7: [1.0], 9: [1.0]},
+        )
+        s = norm_stats_local(g)
+        assert worst_pair(g, {9, 7, 5}, 0.5, s) == (0.0, 5, 7)
+        # (3, 5), (3, 7), (3, 9) tie at the maximum
+        assert worst_pair(g, {9, 7, 5, 3}, 0.5, s) == (0.5, 3, 5)
+
+    def test_atc_coverage_independent_of_hash_seed(self):
+        # q holds all 8 tokens, covered by 7, 7, 6, …, 1 of the 7
+        # members; summed in hash order, the last bit of the score
+        # changes with PYTHONHASHSEED (27.0 under 1, 26.999999999999996
+        # under 2)
+        code = (
+            "from repro.graphs import LocalGraph\n"
+            "from repro.metrics import atc_coverage\n"
+            "toks = [f't{i}' for i in range(8)]\n"
+            "g = LocalGraph.from_edges([(v, v + 1) for v in range(6)],\n"
+            "    tattrs={v: toks[: v + 2] for v in range(7)})\n"
+            "print(repr(atc_coverage(g, set(range(7)), 6)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outs = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outs) == 1, outs
 
 
 class TestF1:
