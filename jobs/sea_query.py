@@ -1,9 +1,10 @@
 """Run one SEA query end-to-end through the Spark dataflow path.
 
 The norm stats, the Hoeffding-sized prioritised BFS (two filtered
-collects per layer: neighbour ids, then f(·,q) for the new ones) and the
+collects per layer: neighbour ids, then the new ones' node rows) and the
 G_q-induced edges are read as Spark DataFrame jobs (``sea_search_spark``);
-the BFS loop state and the sample-estimate loop live on the driver.
+the BFS loop state, f(·,q) and the sample-estimate loop live on the
+driver.
 
     spark-submit jobs/sea_query.py [--dataset facebook] [--k 5] [--e 0.1]
 """

@@ -45,18 +45,19 @@ def vac_search(
         return None
     if stats is None:
         stats = norm_stats_local(g)
+    # the worst pair of ``comm``, carried over from the accepted candidate
+    m, u, v = worst_pair(g, comm, gamma, stats)
     while len(comm) > cm.min_size(k):
-        m, u, v = worst_pair(g, comm, gamma, stats)
-        improved = False
         for x in (u, v):
             if x == q:
                 continue
             cand = cm.maximal(g, q, k, within=comm - {x})
-            if cand and worst_pair(g, cand, gamma, stats)[0] < m:
-                comm = cand
-                improved = True
-                break
-        if not improved:
+            if cand:
+                worst = worst_pair(g, cand, gamma, stats)
+                if worst[0] < m:
+                    comm, (m, u, v) = cand, worst
+                    break
+        else:
             break  # worst case cannot be improved — VAC halts (Fig. 1d)
     return comm
 

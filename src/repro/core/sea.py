@@ -15,13 +15,14 @@ Pipeline (Fig. 4):
 
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
-:func:`sea_search_spark` runs the bulk reads (norm stats, the neighbourhood
-BFS layers with their f(·,q), the G_q-induced edges) as filtered Spark
-collects; weighted sampling and everything after it run on the driver —
-the same split the complexity analysis of §V-D assumes. Both front ends
-evaluate f(·,q) only for the nodes their BFS reaches: :func:`sea_search`
-computes it lazily as its best-first BFS grows G_q,
-:func:`sea_search_spark` filters the distance frame to each new BFS layer.
+:func:`sea_search_spark` runs the bulk reads (the norm stats aggregate,
+the neighbourhood BFS layers' ids and node rows, the G_q-induced edges)
+as Spark jobs; f(·,q), weighted sampling and everything after them run on
+the driver — the same split the complexity analysis of §V-D assumes.
+Both front ends evaluate f(·,q) with the one f,
+``composite_distances_local``, and only for the nodes their BFS reaches:
+:func:`sea_search` computes it lazily as its best-first BFS grows G_q,
+:func:`sea_search_spark` for the node rows of each new BFS layer.
 """
 from __future__ import annotations
 
@@ -327,21 +328,22 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
 
     ``graph`` is an :class:`repro.graphs.attributed.AttributedGraph`.
     The norm stats, the layer-granular prioritised BFS (which collects
-    each layer's ids and f(·,q) to the driver) and the G_q-induced edges
-    are read from the Spark frames; G_q is the Hoeffding-bounded sampling
-    population, orders of magnitude smaller than the graph, and the
-    sample-estimate loop runs on the driver exactly as in
-    :func:`sea_search`.
+    each layer's ids and node rows, and computes their f(·,q) on the
+    driver) and the G_q-induced edges are read from the Spark frames;
+    G_q is the Hoeffding-bounded sampling population, orders of
+    magnitude smaller than the graph, and the sample-estimate loop runs
+    on the driver exactly as in :func:`sea_search`.
     """
-    from repro.metrics.distance import composite_distances, norm_stats_spark
+    from repro.metrics.distance import norm_stats_spark
     from repro.spark_core.bfs import prioritized_neighborhood
     from repro.spark_core.degrees import symmetrize
 
     t0 = time.perf_counter()
     min_gq = _min_gq(graph.num_nodes(), params)
     stats = norm_stats_spark(graph.nodes)
-    fdf = composite_distances(graph, q, params.gamma, stats)
-    fvals = prioritized_neighborhood(symmetrize(graph.edges), fdf, q, min_gq)
+    fvals = prioritized_neighborhood(
+        symmetrize(graph.edges), graph.nodes, q, params.gamma, stats, min_gq
+    )
     if q not in fvals:
         raise ValueError(f"query node {q} is not in the graph")
     # order G_q by distance so the driver-side loop sees the same

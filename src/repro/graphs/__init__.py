@@ -1,5 +1,5 @@
 """Attributed-graph substrate: representations, generators, datasets."""
-from .attributed import AttributedGraph, canonicalize_edges
+from .attributed import AttributedGraph
 from .generator import GeneratedGraph, planted_heterogeneous, planted_homogeneous
 from .local import (
     CommunityModel,
@@ -18,7 +18,6 @@ __all__ = [
     "CommunityModel",
     "GeneratedGraph",
     "LocalGraph",
-    "canonicalize_edges",
     "community_model",
     "connected_component",
     "core_decomposition",

@@ -2,14 +2,14 @@
 
 ``AttributedGraph`` holds two DataFrames:
 
-* ``nodes``: ``id: long, tattrs: array<string>, nattrs: array<double>``
-  plus an optional ``ntype: string`` column for heterogeneous graphs;
+* ``nodes``: ``id: long, tattrs: array<string>, nattrs: array<double>``;
 * ``edges``: ``src: long, dst: long`` stored canonically (``src < dst``,
-  deduplicated, no self-loops) plus an optional ``etype: string`` column.
+  deduplicated, no self-loops).
 
-``sea_search_spark`` reads these frames through filtered collects (the
-norm stats, the G_q BFS layers and the G_q-induced edges); the
-driver-side inner loops consume the collected
+``sea_search_spark`` reads only these columns, through filtered collects
+(the G_q BFS layers' neighbour ids and node rows, the G_q-induced edges)
+and one aggregate (the norm stats); the driver computes f(·,q) for the
+collected rows and runs the inner loops on the collected
 :class:`repro.graphs.local.LocalGraph`.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -29,7 +28,6 @@ NODE_SCHEMA = T.StructType(
         T.StructField("id", T.LongType(), False),
         T.StructField("tattrs", T.ArrayType(T.StringType()), False),
         T.StructField("nattrs", T.ArrayType(T.DoubleType()), False),
-        T.StructField("ntype", T.StringType(), True),
     ]
 )
 
@@ -37,20 +35,8 @@ EDGE_SCHEMA = T.StructType(
     [
         T.StructField("src", T.LongType(), False),
         T.StructField("dst", T.LongType(), False),
-        T.StructField("etype", T.StringType(), True),
     ]
 )
-
-
-def canonicalize_edges(edges: DataFrame) -> DataFrame:
-    """Undirect, de-duplicate and drop self-loops: keep src < dst."""
-    cols = [c for c in edges.columns if c not in ("src", "dst")]
-    e = edges.select(
-        F.least("src", "dst").alias("src"),
-        F.greatest("src", "dst").alias("dst"),
-        *cols,
-    )
-    return e.where(F.col("src") != F.col("dst")).dropDuplicates(["src", "dst"])
 
 
 @dataclass
@@ -80,36 +66,15 @@ class AttributedGraph:
         )
 
     @staticmethod
-    def from_pandas(
-        spark: SparkSession, nodes: pd.DataFrame, edges: pd.DataFrame
-    ) -> "AttributedGraph":
-        """Build from pandas frames; fills optional columns with nulls."""
-        nodes = nodes.copy()
-        if "ntype" not in nodes.columns:
-            nodes["ntype"] = None
-        edges = edges.copy()
-        if "etype" not in edges.columns:
-            edges["etype"] = None
-        ndf = spark.createDataFrame(
-            nodes[["id", "tattrs", "nattrs", "ntype"]], schema=NODE_SCHEMA
-        )
-        edf = spark.createDataFrame(edges[["src", "dst", "etype"]], schema=EDGE_SCHEMA)
-        return AttributedGraph(ndf, canonicalize_edges(edf))
-
-    @staticmethod
     def from_local(spark: SparkSession, g: LocalGraph) -> "AttributedGraph":
+        """Both frames of ``g``; each undirected edge once, as ``v < u``."""
         ids = sorted(g.adj)
-        nodes = pd.DataFrame(
-            {
-                "id": ids,
-                "tattrs": [sorted(g.tattrs.get(i, frozenset())) for i in ids],
-                "nattrs": [list(map(float, g.nattrs.get(i, ()))) for i in ids],
-                "ntype": [g.ntypes.get(i) if g.ntypes else None for i in ids],
-            }
+        nodes = [
+            (v, sorted(g.tattrs.get(v, ())), list(map(float, g.nattrs.get(v, ()))))
+            for v in ids
+        ]
+        edges = [(v, u) for v in ids for u in g.adj[v] if v < u]
+        return AttributedGraph(
+            spark.createDataFrame(nodes, NODE_SCHEMA),
+            spark.createDataFrame(edges, EDGE_SCHEMA),
         )
-        edges = pd.DataFrame(
-            [(v, u) for v in ids for u in g.adj[v] if v < u], columns=["src", "dst"]
-        )
-        if edges.empty:
-            edges = pd.DataFrame({"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")})
-        return AttributedGraph.from_pandas(spark, nodes, edges)

@@ -3,7 +3,6 @@ from .cohesiveness import acq_shared, atc_coverage, f1_score, vac_minmax, worst_
 from .distance import (
     DEFAULT_GAMMA,
     NormStats,
-    composite_distances,
     composite_distances_local,
     delta,
     jaccard_distance,
@@ -16,7 +15,6 @@ __all__ = [
     "NormStats",
     "acq_shared",
     "atc_coverage",
-    "composite_distances",
     "composite_distances_local",
     "delta",
     "f1_score",

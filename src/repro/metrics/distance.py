@@ -11,18 +11,18 @@
   over a reference node population (the whole graph, or the target-typed
   nodes of a heterogeneous graph).
 
-On the driver, :func:`composite_distances_local` is the only f. It
-computes f(·,q) for the nodes a caller names — SEA for the nodes its
-best-first BFS reaches, Exact for its root community, the experiment
-harness for a returned community — and each value is the same whichever
-other nodes are asked about. With a member u in q's place it gives one
+This module's :func:`composite_distances_local` is the only f, on both
+SEA front ends. It computes f(·,q) for the nodes a caller names — SEA
+for the nodes its best-first BFS reaches, Exact for its root community,
+the experiment harness for a returned community — and each value is the
+same whichever other nodes are asked about. ``sea_search_spark``'s G_q
+BFS collects each new layer's node rows and calls it on the driver, with
+the stats of :func:`norm_stats_spark`, so the Spark front end's f equals
+the local one bit for bit. With a member u in q's place it gives one
 row f(u,·), which is how ``metrics.cohesiveness.worst_pair`` reads the
 pairwise distances of VAC's min-max objective; f(u,v) equals f(v,u) bit
-for bit. For ``sea_search_spark``, :func:`composite_distances` is the
-Spark frame (with :func:`norm_stats_spark`); its G_q BFS filters the
-frame by ``id`` per layer, so f is evaluated only for the nodes the BFS
-reaches on that path too. Tests check the Spark path against the local one and against
-DuckDB SQL oracles. δ(H) is computed on the driver.
+for bit. Tests check it against DuckDB SQL oracles. δ(H) is computed on
+the driver.
 
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
 non-empty is maximally distant (fᵗ=1). A constant numerical dimension
@@ -38,7 +38,6 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graphs.attributed import AttributedGraph
 from repro.graphs.local import LocalGraph
 
 DEFAULT_GAMMA = 0.5
@@ -100,8 +99,8 @@ def composite_distances_local(
     stats: Optional[NormStats] = None,
     nodes: Optional[Iterable[int]] = None,
 ) -> Dict[int, float]:
-    """f(v,q) for ``nodes`` (default: every node), normalised over the
-    whole graph (local twin of :func:`composite_distances`)."""
+    """f(v,q) for ``nodes`` (default: every node), normalised by
+    ``stats`` (default: over every node of ``g``)."""
     ids = list(nodes) if nodes is not None else list(g.adj)
     if stats is None:
         stats = norm_stats_local(g)
@@ -117,56 +116,6 @@ def composite_distances_local(
             fn = 0.0
         out[v] = gamma * ft + (1 - gamma) * fn
     return out
-
-
-def composite_distances(
-    graph: AttributedGraph,
-    q: int,
-    gamma: float = DEFAULT_GAMMA,
-    stats: Optional[NormStats] = None,
-) -> DataFrame:
-    """Spark frame: ``id, f`` = composite distance of every node to q.
-
-    One crossJoin against the single q row; Jaccard via array functions,
-    Manhattan via ``zip_with``/``aggregate`` over min-max-normalised
-    attribute arrays — all Catalyst expressions, no UDFs. Catalyst pushes
-    an ``id`` filter on the result below the crossJoin, so a filtered
-    read evaluates f only for the rows it keeps.
-    """
-    if stats is None:
-        stats = norm_stats_spark(graph.nodes)
-    nodes = graph.nodes
-    qrow = nodes.where(F.col("id") == q).select(
-        F.col("tattrs").alias("q_tattrs"), F.col("nattrs").alias("q_nattrs")
-    )
-
-    def znorm(col):
-        mins = F.array(*[F.lit(float(m)) for m in stats.mins])
-        spans = F.array(
-            *[F.lit(float(mx - mn)) for mn, mx in zip(stats.mins, stats.maxs)]
-        )
-        return F.zip_with(
-            F.zip_with(col, mins, lambda x, mn: x - mn),
-            spans,
-            lambda x, s: F.when(s > 0, x / s).otherwise(F.lit(0.0)),
-        )
-
-    df = nodes.crossJoin(qrow)
-    inter = F.size(F.array_intersect("tattrs", "q_tattrs"))
-    union = F.size(F.array_union("tattrs", "q_tattrs"))
-    ft = F.when(union == 0, F.lit(0.0)).otherwise(1.0 - inter / union)
-    if stats.ndim == 0:
-        fn = F.lit(0.0)
-    else:
-        diffs = F.zip_with(
-            znorm(F.col("nattrs")), znorm(F.col("q_nattrs")), lambda a, b: F.abs(a - b)
-        )
-        fn = F.aggregate(diffs, F.lit(0.0), lambda acc, x: acc + x) / F.lit(
-            float(stats.ndim)
-        )
-    return df.select(
-        "id", (F.lit(gamma) * ft + F.lit(1 - gamma) * fn).alias("f")
-    )
 
 
 def delta(fvals: Dict[int, float], community: Set[int], q: int) -> float:

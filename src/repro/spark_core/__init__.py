@@ -1,6 +1,7 @@
 """Spark DataFrame dataflows of the Spark SEA front end: edge
 symmetrisation and the G_q neighbourhood BFS, a driver loop of filtered
-collects."""
+collects (neighbour ids, then node rows) whose f(·,q) the driver
+computes."""
 from .bfs import prioritized_neighborhood
 from .degrees import symmetrize
 

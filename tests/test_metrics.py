@@ -1,4 +1,5 @@
-"""Tests for composite distance and cohesiveness metrics (local + Spark + oracle)."""
+"""Tests for composite distance and cohesiveness metrics (driver f, Spark
+norm stats, DuckDB oracle)."""
 import os
 import subprocess
 import sys
@@ -6,15 +7,13 @@ import sys
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 import repro
-from repro.graphs import AttributedGraph, LocalGraph
+from repro.graphs import LocalGraph
 from repro.metrics import (
     NormStats,
     acq_shared,
     atc_coverage,
-    composite_distances,
     composite_distances_local,
     delta,
     f1_score,
@@ -108,22 +107,15 @@ class TestPairDistance:
                 assert 0.0 <= pair_f(g, u, v, 0.5, s) <= 1.0
 
 
-class TestCompositeDistances:
-    def test_spark_matches_local(self, tiny, tiny_spark):
-        q = sorted(tiny.graph.adj)[0]
-        local = composite_distances_local(tiny.graph, q, 0.5)
-        got = {r.id: r.f for r in composite_distances(tiny_spark, q, 0.5).collect()}
-        assert set(got) == set(local)
-        for v in local:
-            assert got[v] == pytest.approx(local[v], abs=1e-9)
+def f_frame(f):
+    """``{id: f}`` as the ``id, f`` frame the DuckDB oracle compares."""
+    return pd.DataFrame({"id": list(f), "f": list(f.values())})
 
-    def test_query_distance_zero(self, tiny, tiny_spark):
+
+class TestCompositeDistances:
+    def test_query_distance_zero(self, tiny):
         q = sorted(tiny.graph.adj)[5]
-        got = dict(
-            composite_distances(tiny_spark, q, 0.5)
-            .where(F.col("id") == q)
-            .collect()[0].asDict().items()
-        )
+        got = {"f": composite_distances_local(tiny.graph, q, 0.5, nodes=[q])[q]}
         assert got["f"] == pytest.approx(0.0)
 
     def test_community_members_closer(self, tiny):
@@ -143,14 +135,14 @@ class TestCompositeDistances:
         for v in subset:
             assert part[v] == pytest.approx(whole[v], abs=1e-12)
 
-    def test_jaccard_oracle(self, tiny, tiny_spark):
+    def test_jaccard_oracle(self, tiny):
         """γ=1 distance (pure Jaccard) against a DuckDB token-table oracle."""
         q = sorted(tiny.graph.adj)[3]
         toks = pd.DataFrame(
             [(v, t) for v in tiny.graph.adj for t in tiny.graph.tattrs[v]],
             columns=["id", "token"],
         )
-        got = composite_distances(tiny_spark, q, gamma=1.0)
+        got = f_frame(composite_distances_local(tiny.graph, q, gamma=1.0))
         assert_equivalent(
             got,
             f"""
@@ -169,7 +161,7 @@ class TestCompositeDistances:
             toks=toks,
         )
 
-    def test_manhattan_oracle(self, tiny, tiny_spark):
+    def test_manhattan_oracle(self, tiny):
         """γ=0 distance (pure normalised Manhattan) against a DuckDB oracle."""
         q = sorted(tiny.graph.adj)[4]
         nv = pd.DataFrame(
@@ -180,7 +172,7 @@ class TestCompositeDistances:
             ],
             columns=["id", "pos", "val"],
         )
-        got = composite_distances(tiny_spark, q, gamma=0.0)
+        got = f_frame(composite_distances_local(tiny.graph, q, gamma=0.0))
         assert_equivalent(
             got,
             f"""

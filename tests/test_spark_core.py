@@ -1,11 +1,17 @@
 """Tests for the Spark dataflows of the Spark SEA front end: edge
 symmetrisation and the prioritised G_q BFS."""
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
+from repro.core import SEAParams
+from repro.core.sea import _min_gq
+from repro.experiments import pick_queries, prepare
 from repro.graphs import AttributedGraph, LocalGraph
-from repro.metrics import composite_distances, composite_distances_local
+from repro.metrics import (
+    NormStats,
+    composite_distances_local,
+    norm_stats_local,
+    norm_stats_spark,
+)
 from repro.spark_core import prioritized_neighborhood, symmetrize
 
 
@@ -19,40 +25,41 @@ class TestDegrees:
 class TestPrioritizedNeighborhood:
     @pytest.fixture(scope="class")
     def star_path(self, spark):
-        # q=0 connected to 1..6; 1 connected to a chain 10-11-12
+        # q=0 connected to 1..6; 1 connected to a chain 10-11-12. Each node
+        # has one numerical attribute, its f: at γ=0 with the unit span
+        # below, f(v,0) is that attribute exactly
         edges = [(0, i) for i in range(1, 7)] + [(1, 10), (10, 11), (11, 12)]
-        g = AttributedGraph.from_local(spark, LocalGraph.from_edges(edges))
-        fv = spark.createDataFrame(
-            pd.DataFrame({"id": [0, 1, 2, 3, 4, 5, 6, 10, 11, 12],
-                          "f": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.15, 0.2, 0.9]})
+        f = {0: 0.0, 1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4, 5: 0.5, 6: 0.6,
+             10: 0.15, 11: 0.2, 12: 0.9}
+        g = LocalGraph.from_edges(edges, nattrs={v: [x] for v, x in f.items()})
+        return AttributedGraph.from_local(spark, g)
+
+    @staticmethod
+    def grow(g, min_size):
+        return prioritized_neighborhood(
+            symmetrize(g.edges), g.nodes, 0, 0.0, NormStats((0.0,), (1.0,)), min_size
         )
-        return g, fv
 
     def test_reaches_min_size(self, star_path):
-        g, fv = star_path
-        got = prioritized_neighborhood(symmetrize(g.edges), fv, 0, 5)
+        got = self.grow(star_path, 5)
         assert len(got) == 5
 
     def test_prefers_small_f_in_last_layer(self, star_path):
-        g, fv = star_path
-        got = set(prioritized_neighborhood(symmetrize(g.edges), fv, 0, 4))
+        got = set(self.grow(star_path, 4))
         # layer 1 is 1..6; only 3 admitted: the smallest-f ones 1, 2, 3
         assert got == {0, 1, 2, 3}
 
     def test_grows_beyond_one_hop(self, star_path):
-        g, fv = star_path
-        got = set(prioritized_neighborhood(symmetrize(g.edges), fv, 0, 9))
+        got = set(self.grow(star_path, 9))
         # layer 1 is 1..6, layer 2 is {10}, layer 3 is {11}
         assert got == {0, 1, 2, 3, 4, 5, 6, 10, 11}
 
     def test_caps_at_component(self, star_path):
-        g, fv = star_path
-        got = prioritized_neighborhood(symmetrize(g.edges), fv, 0, 50)
+        got = self.grow(star_path, 50)
         assert len(got) == 10  # whole component, no infinite loop
 
     def test_includes_query(self, star_path):
-        g, fv = star_path
-        got = set(prioritized_neighborhood(symmetrize(g.edges), fv, 0, 3))
+        got = set(self.grow(star_path, 3))
         assert 0 in got
 
 
@@ -71,17 +78,25 @@ def layer_bfs(g, q, min_size):
 @pytest.mark.parametrize("q", [0, 23, 47, 71])
 def test_matches_driver_reference(tiny, tiny_spark, q):
     edges_sym = symmetrize(tiny_spark.edges)
-    fdf = composite_distances(tiny_spark, q, 0.5)
+    stats = norm_stats_spark(tiny_spark.nodes)
     for n in (2, 10, 40, tiny.graph.num_nodes + 1):
-        got = prioritized_neighborhood(edges_sym, fdf, q, n)
+        got = prioritized_neighborhood(edges_sym, tiny_spark.nodes, q, 0.5, stats, n)
         want = layer_bfs(tiny.graph, q, n)
         assert set(got) == set(want), n
-        assert all(abs(got[v] - want[v]) <= 1e-9 for v in want), n
+        assert all(got[v] == want[v] for v in want), n
 
 
-def test_distance_filter_runs_below_q_join(tiny_spark):
-    """A BFS layer's ``id`` filter is applied to the node rows before the
-    cross join with q, so f is evaluated only for the nodes asked about."""
-    fdf = composite_distances(tiny_spark, 0, 0.5).where(F.col("id").isin([1, 2]))
-    plan = fdf._jdf.queryExecution().optimizedPlan().toString()
-    assert plan.index("Join Cross") < plan.index("Filter id#")
+def test_f_equals_driver_f_on_16_dims(spark):
+    """On a numerical-only graph with d=16, every f the Spark BFS returns
+    is the driver's f bit for bit, as ``sea_search_spark`` calls it."""
+    prep = prepare("dbpedia")
+    ag = AttributedGraph.from_local(spark, prep.graph).cache()
+    edges_sym, stats = symmetrize(ag.edges), norm_stats_spark(ag.nodes)
+    min_gq = _min_gq(prep.graph.num_nodes, SEAParams(k=4, gamma=prep.gamma))
+    for q in pick_queries(prep, 4, 3, 1):
+        got = prioritized_neighborhood(edges_sym, ag.nodes, q, prep.gamma, stats, min_gq)
+        want = composite_distances_local(
+            prep.graph, q, prep.gamma, norm_stats_local(prep.graph), nodes=got
+        )
+        assert len(got) == min_gq
+        assert got == want, q
