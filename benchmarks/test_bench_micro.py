@@ -2,14 +2,18 @@
 
 SEA vs the exact/baseline methods on a fixed facebook query (the Fig. 5c
 response-time comparison at our scale; SEA's time includes computing
-f(·,q) for the nodes its G_q search reaches), plus the Spark SEA front
-end: its G_q BFS alone and the whole query.
+f(·,q) for the nodes its G_q search reaches), the f kernel alone (in the
+batches SEA's best-first BFS asks for, and VAC's worst-pair scan), plus
+the Spark SEA front end: its G_q BFS alone and the whole query.
 """
 import pytest
 
+import repro.core.sea as sea_module
 from repro.baselines import locatc_search, vac_search
 from repro.core import SEAParams, exact_cs, sea_search
 from repro.experiments import pick_queries, prepare
+from repro.graphs import community_model
+from repro.metrics import composite_distances_local, worst_pair
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,39 @@ def test_vac_single_query(benchmark, fb_ctx):
         rounds=2, iterations=1,
     )
     assert r.community
+
+
+@pytest.mark.benchmark(group="f-kernel")
+def test_f_in_sea_bfs_batches(benchmark, fb_ctx, monkeypatch):
+    """f(·,q) for the batches of nodes SEA's best-first BFS requests on
+    the facebook query: q alone, then each expanded node's new neighbours."""
+    prep, q = fb_ctx
+    batches = []
+
+    def record(g, q, gamma, stats, nodes):
+        batches.append(list(nodes))
+        return composite_distances_local(g, q, gamma, stats, nodes=batches[-1])
+
+    monkeypatch.setattr(sea_module, "composite_distances_local", record)
+    min_gq = sea_module._min_gq(prep.graph.num_nodes, SEAParams(k=5, gamma=prep.gamma))
+    sea_module._best_first_neighborhood(prep.graph, q, prep.gamma, prep.stats, min_gq)
+    monkeypatch.undo()
+
+    def run():
+        for nodes in batches:
+            composite_distances_local(prep.graph, q, prep.gamma, prep.stats, nodes=nodes)
+
+    benchmark(run)
+    assert len(batches) > 1
+
+
+@pytest.mark.benchmark(group="f-kernel")
+def test_worst_pair_on_vac_root(benchmark, fb_ctx):
+    """VAC's first worst-pair scan: the query's maximal connected k-core."""
+    prep, q = fb_ctx
+    root = community_model("core").maximal(prep.graph, q, 5)
+    m, u, v = benchmark(lambda: worst_pair(prep.graph, root, prep.gamma, prep.stats))
+    assert u < v and m >= 0
 
 
 @pytest.mark.benchmark(group="spark-dataflow")

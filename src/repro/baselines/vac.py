@@ -38,7 +38,13 @@ def vac_search(
     stats: Optional[NormStats] = None,
     model: str = "core",
 ) -> Optional[Set[int]]:
-    """Approximate VAC: peel endpoints of the worst pair while possible."""
+    """Approximate VAC: peel endpoints of the worst pair while possible.
+
+    ``stats`` should be ``norm_stats_local(g)``, computed once per graph
+    and passed to every query: it carries g's normalised attribute matrix,
+    and with ``stats=None`` that matrix is rebuilt over all |V| nodes on
+    every query.
+    """
     cm = community_model(model)
     comm = cm.maximal(g, q, k)
     if not comm:

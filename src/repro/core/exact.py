@@ -71,6 +71,11 @@ def exact_cs(
     f(·,q) is computed for the root community's nodes. With every pruning
     disabled this is the raw exponential enumeration — cap it with
     ``max_states`` (the result is then best-so-far with ``capped=True``).
+
+    ``stats`` should be ``norm_stats_local(g)``, computed once per graph
+    and passed to every query: it carries g's normalised attribute matrix,
+    and with ``stats=None`` that matrix is rebuilt over all |V| nodes on
+    every query.
     """
     if q not in g.adj:
         raise ValueError(f"query node {q} is not in the graph")

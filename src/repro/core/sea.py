@@ -196,7 +196,13 @@ def sea_search(
     params: SEAParams,
     stats: Optional[NormStats] = None,
 ) -> SEAResult:
-    """All-local SEA search (Problem 2, Approx-CS-AG)."""
+    """All-local SEA search (Problem 2, Approx-CS-AG).
+
+    ``stats`` should be ``norm_stats_local(g)``, computed once per graph
+    and passed to every query: it carries g's normalised attribute matrix,
+    and with ``stats=None`` that matrix is rebuilt over all |V| nodes on
+    every query.
+    """
     if q not in g.adj:
         raise ValueError(f"query node {q} is not in the graph")
     t0 = time.perf_counter()

@@ -24,6 +24,14 @@ pairwise distances of VAC's min-max objective; f(u,v) equals f(v,u) bit
 for bit. Tests check it against DuckDB SQL oracles. δ(H) is computed on
 the driver.
 
+:func:`norm_stats_local` builds, in the same pass as the min/max, the
+graph's normalised |V|×d matrix and a node → row map, once per graph; f's
+numerical part is then ``abs(Z[rows] − Z[row_q]).mean(axis=1)`` over
+gathered rows. Stats without a matrix for the graph at hand (Spark's,
+hand-built ones, or another graph's) normalise exactly the requested
+rows plus q's in one call and evaluate the same expression. Both paths
+equal the per-node formula bit for bit.
+
 Edge conventions: two empty token sets are identical (fᵗ=0); empty vs
 non-empty is maximally distant (fᵗ=1). A constant numerical dimension
 normalises to 0 everywhere. Graphs with no numerical (textual) attributes
@@ -31,8 +39,8 @@ should be queried with γ=1 (γ=0).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -45,10 +53,22 @@ DEFAULT_GAMMA = 0.5
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-dimension min/max of the numerical attributes."""
+    """Per-dimension min/max of the numerical attributes.
+
+    :func:`norm_stats_local` also keeps the graph's normalised |V|×d
+    matrix ``z`` (node v on row ``rows[v]``) and the ``nattrs`` dict it
+    was read from (``source``), so f reads a node's normalised vector as
+    a row. These three fields take no part in ``==``, ``hash`` or
+    ``repr``.
+    """
 
     mins: Tuple[float, ...]
     maxs: Tuple[float, ...]
+    z: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    rows: Optional[Dict[int, int]] = field(default=None, compare=False, repr=False)
+    source: Optional[Dict[int, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ndim(self) -> int:
@@ -64,12 +84,15 @@ class NormStats:
 
 
 def norm_stats_local(g: LocalGraph) -> NormStats:
-    """Min/max per numerical dimension over every node of ``g``."""
-    vecs = [g.nattrs[v] for v in g.adj if v in g.nattrs and len(g.nattrs[v])]
-    if not vecs:
+    """Min/max per numerical dimension over every node of ``g``, with
+    ``g``'s normalised attribute matrix (built in the same pass)."""
+    ids = [v for v in g.adj if v in g.nattrs and len(g.nattrs[v])]
+    if not ids:
         return NormStats((), ())
-    arr = np.stack(vecs)
-    return NormStats(tuple(arr.min(axis=0)), tuple(arr.max(axis=0)))
+    arr = np.array([g.nattrs[v] for v in ids])
+    bounds = NormStats(tuple(arr.min(axis=0)), tuple(arr.max(axis=0)))
+    rows = {v: i for i, v in enumerate(ids)}
+    return replace(bounds, z=bounds.normalize(arr), rows=rows, source=g.nattrs)
 
 
 def norm_stats_spark(nodes: DataFrame) -> NormStats:
@@ -92,6 +115,22 @@ def jaccard_distance(a: frozenset, b: frozenset) -> float:
     return 1.0 - len(a & b) / union
 
 
+def _normalized_rows(
+    g: LocalGraph, q: int, stats: NormStats, ids: List[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalised vectors of ``ids`` (one row each) and of q: rows of
+    ``stats.z`` when it was built on ``g`` and holds them all, else one
+    ``normalize`` call on exactly those rows."""
+    z, rows = stats.z, stats.rows
+    if z is not None and stats.source is g.nattrs:
+        try:
+            return z[[rows[v] for v in ids]], z[rows[q]]
+        except KeyError:
+            pass
+    z = stats.normalize(np.array([g.nattrs[v] for v in ids] + [g.nattrs[q]]))
+    return z[:-1], z[-1]
+
+
 def composite_distances_local(
     g: LocalGraph,
     q: int,
@@ -105,17 +144,15 @@ def composite_distances_local(
     if stats is None:
         stats = norm_stats_local(g)
     qt = g.tattrs.get(q, frozenset())
-    out: Dict[int, float] = {}
     if stats.ndim:
-        zq = stats.normalize(g.nattrs[q])
-    for v in ids:
-        ft = jaccard_distance(g.tattrs.get(v, frozenset()), qt)
-        if stats.ndim:
-            fn = float(np.abs(stats.normalize(g.nattrs[v]) - zq).mean())
-        else:
-            fn = 0.0
-        out[v] = gamma * ft + (1 - gamma) * fn
-    return out
+        zv, zq = _normalized_rows(g, q, stats, ids)
+        fn = np.abs(zv - zq).mean(axis=1).tolist()
+    else:
+        fn = [0.0] * len(ids)
+    return {
+        v: gamma * jaccard_distance(g.tattrs.get(v, frozenset()), qt) + (1 - gamma) * n
+        for v, n in zip(ids, fn)
+    }
 
 
 def delta(fvals: Dict[int, float], community: Set[int], q: int) -> float:
