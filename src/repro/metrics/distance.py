@@ -119,14 +119,11 @@ def _normalized_rows(
     g: LocalGraph, q: int, stats: NormStats, ids: List[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Normalised vectors of ``ids`` (one row each) and of q: rows of
-    ``stats.z`` when it was built on ``g`` and holds them all, else one
-    ``normalize`` call on exactly those rows."""
+    ``stats.z`` when it was built on ``g``, else one ``normalize`` call on
+    exactly those rows. A node with no vector raises either way."""
     z, rows = stats.z, stats.rows
     if z is not None and stats.source is g.nattrs:
-        try:
-            return z[[rows[v] for v in ids]], z[rows[q]]
-        except KeyError:
-            pass
+        return z[[rows[v] for v in ids]], z[rows[q]]
     z = stats.normalize(np.array([g.nattrs[v] for v in ids] + [g.nattrs[q]]))
     return z[:-1], z[-1]
 
