@@ -56,8 +56,8 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    pre-JVM-launch). The per-session config that *is* honoured
+    post-launch (shuffle partitions) is set here.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -65,8 +65,6 @@ def spark() -> SparkSession:
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -10,8 +10,6 @@ def session(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )

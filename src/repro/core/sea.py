@@ -16,9 +16,10 @@ Pipeline (Fig. 4):
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
 :func:`sea_search_spark` runs the bulk reads (the norm stats aggregate,
-the neighbourhood BFS layers' ids and node rows, the G_q-induced edges)
-as Spark jobs; f(·,q), weighted sampling and everything after them run on
-the driver — the same split the complexity analysis of §V-D assumes.
+and per neighbourhood BFS layer the edges touching it and the new nodes'
+rows, whose edges hold G_q's own) as Spark jobs; f(·,q), weighted
+sampling and everything after them run on the driver — the same split
+the complexity analysis of §V-D assumes.
 Both front ends evaluate f(·,q) with the one f,
 ``composite_distances_local``, and only for the nodes their BFS reaches:
 :func:`sea_search` computes it lazily as its best-first BFS grows G_q,
@@ -333,31 +334,30 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     """SEA with the bulk reads as Spark jobs.
 
     ``graph`` is an :class:`repro.graphs.attributed.AttributedGraph`.
-    The norm stats, the layer-granular prioritised BFS (which collects
-    each layer's ids and node rows, and computes their f(·,q) on the
-    driver) and the G_q-induced edges are read from the Spark frames;
-    G_q is the Hoeffding-bounded sampling population, orders of
-    magnitude smaller than the graph, and the sample-estimate loop runs
-    on the driver exactly as in :func:`sea_search`.
+    The norm stats and the layer-granular prioritised BFS (which
+    collects the edges touching each layer and the new nodes' rows, and
+    computes their f(·,q) on the driver) read the Spark frames; G_q's
+    driver-side graph is built from the edges the BFS read. G_q is the
+    Hoeffding-bounded sampling population, orders of magnitude smaller
+    than the graph, and the sample-estimate loop runs on the driver
+    exactly as in :func:`sea_search`.
     """
     from repro.metrics.distance import norm_stats_spark
     from repro.spark_core.bfs import prioritized_neighborhood
-    from repro.spark_core.degrees import symmetrize
 
     t0 = time.perf_counter()
     min_gq = _min_gq(graph.num_nodes(), params)
     stats = norm_stats_spark(graph.nodes)
-    fvals = prioritized_neighborhood(
-        symmetrize(graph.edges), graph.nodes, q, params.gamma, stats, min_gq
+    fvals, edges = prioritized_neighborhood(
+        graph.edges, graph.nodes, q, params.gamma, stats, min_gq
     )
     if q not in fvals:
         raise ValueError(f"query node {q} is not in the graph")
     # order G_q by distance so the driver-side loop sees the same
     # preferential ordering the BFS produced
     gq = sorted(fvals, key=lambda v: (fvals[v], v))
-    edges_pdf = graph.induced(gq).edges.select("src", "dst").toPandas()
     g_local = LocalGraph.from_edges(
-        list(zip(edges_pdf["src"], edges_pdf["dst"])), nodes=gq
+        [(v, u) for v, u in edges if v in fvals and u in fvals], nodes=gq
     )
     t_s1 = time.perf_counter() - t0
     return _sample_estimate_loop(

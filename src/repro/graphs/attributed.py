@@ -7,36 +7,26 @@
   deduplicated, no self-loops).
 
 ``sea_search_spark`` reads only these columns, through filtered collects
-(the G_q BFS layers' neighbour ids and node rows, the G_q-induced edges)
-and one aggregate (the norm stats); the driver computes f(·,q) for the
-collected rows and runs the inner loops on the collected
-:class:`repro.graphs.local.LocalGraph`.
+(per G_q BFS layer, the edges touching it and the new nodes' rows) and
+one aggregate (the norm stats); the driver computes f(·,q) for the
+collected rows and runs the inner loops on a
+:class:`repro.graphs.local.LocalGraph` of G_q built from the collected
+edges. This module imports no pyspark: the frames' methods do the work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
+from typing import TYPE_CHECKING
 
 from .local import LocalGraph
 
-NODE_SCHEMA = T.StructType(
-    [
-        T.StructField("id", T.LongType(), False),
-        T.StructField("tattrs", T.ArrayType(T.StringType()), False),
-        T.StructField("nattrs", T.ArrayType(T.DoubleType()), False),
-    ]
-)
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
-EDGE_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.LongType(), False),
-        T.StructField("dst", T.LongType(), False),
-    ]
+NODE_SCHEMA = (
+    "id long not null, tattrs array<string> not null, nattrs array<double> not null"
 )
+EDGE_SCHEMA = "src long not null, dst long not null"
 
 
 @dataclass
@@ -56,14 +46,6 @@ class AttributedGraph:
         self.nodes.cache()
         self.edges.cache()
         return self
-
-    def induced(self, ids: List[int]) -> "AttributedGraph":
-        """Node-induced subgraph on ``ids``, a driver-side id list such as
-        G_q; both frames are filtered with ``isin``."""
-        return AttributedGraph(
-            self.nodes.where(F.col("id").isin(ids)),
-            self.edges.where(F.col("src").isin(ids) & F.col("dst").isin(ids)),
-        )
 
     @staticmethod
     def from_local(spark: SparkSession, g: LocalGraph) -> "AttributedGraph":

@@ -40,13 +40,14 @@ should be queried with γ=1 (γ=0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.local import LocalGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 DEFAULT_GAMMA = 0.5
 
@@ -97,6 +98,8 @@ def norm_stats_local(g: LocalGraph) -> NormStats:
 
 def norm_stats_spark(nodes: DataFrame) -> NormStats:
     """Spark twin of :func:`norm_stats_local` via posexplode + aggregate."""
+    from pyspark.sql import functions as F
+
     rows = (
         nodes.select(F.posexplode("nattrs").alias("pos", "val"))
         .groupBy("pos")
@@ -143,7 +146,7 @@ def composite_distances_local(
     qt = g.tattrs.get(q, frozenset())
     if stats.ndim:
         zv, zq = _normalized_rows(g, q, stats, ids)
-        fn = np.abs(zv - zq).mean(axis=1).tolist()
+        fn = (np.add.reduce(np.abs(zv - zq), axis=1) / stats.ndim).tolist()
     else:
         fn = [0.0] * len(ids)
     return {

@@ -1,11 +1,9 @@
-"""Spark DataFrame dataflows of the Spark SEA front end: edge
-symmetrisation and the G_q neighbourhood BFS, a driver loop of filtered
-collects (neighbour ids, then node rows) whose f(·,q) the driver
-computes."""
+"""Spark DataFrame dataflow of the Spark SEA front end: the G_q BFS, a
+driver loop of filtered collects (the edges touching each layer, then the
+new nodes' rows) whose f(·,q) the driver computes and whose edges hold
+G_q's own."""
 from .bfs import prioritized_neighborhood
-from .degrees import symmetrize
 
 __all__ = [
     "prioritized_neighborhood",
-    "symmetrize",
 ]

@@ -8,15 +8,18 @@ Hoeffding minimum size, only its smallest-``f`` nodes are admitted —
 layer-granular best-first, the bulk-synchronous rendering of the paper's
 sequential heap expansion.
 
-The visited set and the frontier live on the driver; they never exceed
-|G_q| ids. Each layer is two filtered collects with no shuffle: the
-frontier's neighbour ids, then the node rows (``id, tattrs, nattrs``) of
-the unvisited ones. The driver computes f(·,q) for those rows with
+The visited set, the frontier and the edges read live on the driver; the
+first two never exceed |G_q| ids. Each layer is two filtered collects
+with no shuffle: the canonical (``src < dst``) edges with an endpoint in
+the frontier, then the node rows (``id, tattrs, nattrs``) of the
+unvisited neighbours. The driver computes f(·,q) for those rows with
 :func:`repro.metrics.distance.composite_distances_local`, the one f, so
 f is evaluated only for the nodes the BFS reaches and equals the local
-front end's f bit for bit.
+front end's f bit for bit. The edges read are kept: after one more edge
+read for the last admitted layer, they hold every edge of G_q, so the
+caller needs no second read of G_q's edges.
 """
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 from pyspark.sql import Column, DataFrame
@@ -39,30 +42,42 @@ def _collect_rows(nodes: DataFrame, cond: Column, into: LocalGraph) -> List[int]
 
 
 def prioritized_neighborhood(
-    edges_sym: DataFrame,
+    edges: DataFrame,
     nodes: DataFrame,
     q: int,
     gamma: float,
     stats: NormStats,
     min_size: int,
-) -> Dict[int, float]:
+) -> Tuple[Dict[int, float], List[Tuple[int, int]]]:
     """Grow ``G_q`` to ≥ ``min_size`` nodes (or q's whole component).
 
-    ``edges_sym``: symmetric edges; ``nodes``: the ``id, tattrs, nattrs``
-    node frame; ``gamma`` and ``stats`` parametrise f(·,q). Returns
-    ``{id: f}`` for the selected nodes, q included; when q has no row in
-    ``nodes`` (it is not in the graph) the result is empty. Each round
-    admits at least one unvisited node or stops, so the loop ends within
-    |V| rounds.
+    ``edges``: the canonical ``src, dst`` edge frame; ``nodes``: the
+    ``id, tattrs, nattrs`` node frame; ``gamma`` and ``stats``
+    parametrise f(·,q). Returns ``{id: f}`` for the selected nodes, q
+    included, and the ``(src, dst)`` edges read, each once: every edge
+    with an endpoint in G_q, so G_q's own edges among them. When q has
+    no row in ``nodes`` (it is not in the graph) both are empty. Each
+    round admits at least one unvisited node or stops, so the loop ends
+    within |V| rounds.
     """
     rows = LocalGraph({})  # edgeless: the attribute rows collected so far
     if not _collect_rows(nodes, F.col("id") == q, rows):
-        return {}
+        return {}, []
     visited = composite_distances_local(rows, q, gamma, stats, nodes=[q])
+    read: List[Tuple[int, int]] = []
+    done: Set[int] = set()  # the nodes whose edges have been read
     frontier = [q]
-    while frontier and len(visited) < min_size:
-        reached = edges_sym.where(F.col("src").isin(frontier)).select("dst")
-        new = {int(r.dst) for r in reached.collect()} - visited.keys()
+    while frontier:
+        hit = F.col("src").isin(frontier) | F.col("dst").isin(frontier)
+        layer_edges = [
+            (int(r.src), int(r.dst))
+            for r in edges.where(hit).select("src", "dst").collect()
+        ]
+        read += (e for e in layer_edges if e[0] not in done and e[1] not in done)
+        done.update(frontier)
+        if len(visited) >= min_size:
+            break
+        new = {u for e in layer_edges for u in e} - visited.keys()
         if not new:
             break  # q's component is exhausted
         ids = _collect_rows(nodes, F.col("id").isin(sorted(new)), rows)
@@ -72,4 +87,4 @@ def prioritized_neighborhood(
         layer = layer[: min_size - len(visited)]
         visited.update((v, fv) for fv, v in layer)
         frontier = [v for _, v in layer]
-    return visited
+    return visited, read

@@ -1,6 +1,10 @@
-"""Every module of ``repro`` imports, and every name in its ``__all__`` exists."""
+"""Every module of ``repro`` imports, every name in its ``__all__`` exists,
+and the local packages do not load pyspark."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,3 +22,22 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_local_packages_do_not_load_pyspark():
+    """Only the Spark front end loads pyspark: a fresh interpreter that
+    imports every local package has not loaded it, and ``AttributedGraph``
+    still imports from ``repro.graphs``."""
+    code = (
+        "import sys\n"
+        "import repro.core, repro.metrics, repro.graphs, repro.baselines, "
+        "repro.experiments, repro.hetero\n"
+        "assert 'pyspark' not in sys.modules, 'pyspark was loaded'\n"
+        "from repro.graphs import AttributedGraph\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

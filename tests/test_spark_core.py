@@ -1,5 +1,5 @@
-"""Tests for the Spark dataflows of the Spark SEA front end: edge
-symmetrisation and the prioritised G_q BFS."""
+"""Tests for the Spark dataflow of the Spark SEA front end: the
+prioritised G_q BFS, its f(·,q) and the edges it returns."""
 import pytest
 
 from repro.core import SEAParams
@@ -12,14 +12,7 @@ from repro.metrics import (
     norm_stats_local,
     norm_stats_spark,
 )
-from repro.spark_core import prioritized_neighborhood, symmetrize
-
-
-class TestDegrees:
-    """The edge-list module ``spark_core.degrees``."""
-
-    def test_symmetrize_doubles(self, tiny_spark):
-        assert symmetrize(tiny_spark.edges).count() == 2 * tiny_spark.num_edges()
+from repro.spark_core import prioritized_neighborhood
 
 
 class TestPrioritizedNeighborhood:
@@ -36,9 +29,10 @@ class TestPrioritizedNeighborhood:
 
     @staticmethod
     def grow(g, min_size):
-        return prioritized_neighborhood(
-            symmetrize(g.edges), g.nodes, 0, 0.0, NormStats((0.0,), (1.0,)), min_size
+        gq, _ = prioritized_neighborhood(
+            g.edges, g.nodes, 0, 0.0, NormStats((0.0,), (1.0,)), min_size
         )
+        return gq
 
     def test_reaches_min_size(self, star_path):
         got = self.grow(star_path, 5)
@@ -77,13 +71,18 @@ def layer_bfs(g, q, min_size):
 
 @pytest.mark.parametrize("q", [0, 23, 47, 71])
 def test_matches_driver_reference(tiny, tiny_spark, q):
-    edges_sym = symmetrize(tiny_spark.edges)
     stats = norm_stats_spark(tiny_spark.nodes)
     for n in (2, 10, 40, tiny.graph.num_nodes + 1):
-        got = prioritized_neighborhood(edges_sym, tiny_spark.nodes, q, 0.5, stats, n)
+        got, edges = prioritized_neighborhood(
+            tiny_spark.edges, tiny_spark.nodes, q, 0.5, stats, n
+        )
         want = layer_bfs(tiny.graph, q, n)
         assert set(got) == set(want), n
         assert all(got[v] == want[v] for v in want), n
+        # G_q's own edges, each exactly once
+        assert sorted(e for e in edges if e[0] in got and e[1] in got) == sorted(
+            (v, u) for v in want for u in tiny.graph.adj[v] if u in want and v < u
+        ), n
 
 
 def test_f_equals_driver_f_on_16_dims(spark):
@@ -91,10 +90,10 @@ def test_f_equals_driver_f_on_16_dims(spark):
     is the driver's f bit for bit, as ``sea_search_spark`` calls it."""
     prep = prepare("dbpedia")
     ag = AttributedGraph.from_local(spark, prep.graph).cache()
-    edges_sym, stats = symmetrize(ag.edges), norm_stats_spark(ag.nodes)
+    stats = norm_stats_spark(ag.nodes)
     min_gq = _min_gq(prep.graph.num_nodes, SEAParams(k=4, gamma=prep.gamma))
     for q in pick_queries(prep, 4, 3, 1):
-        got = prioritized_neighborhood(edges_sym, ag.nodes, q, prep.gamma, stats, min_gq)
+        got, _ = prioritized_neighborhood(ag.edges, ag.nodes, q, prep.gamma, stats, min_gq)
         want = composite_distances_local(
             prep.graph, q, prep.gamma, norm_stats_local(prep.graph), nodes=got
         )
