@@ -102,14 +102,13 @@ def test_spark_gq_bfs(benchmark, spark):
     and f(·,q) computed on the driver only for the nodes reached."""
     from repro.core.sea import _min_gq
     from repro.graphs import AttributedGraph
-    from repro.metrics import norm_stats_spark
     from repro.spark_core import prioritized_neighborhood
 
     prep = prepare("facebook")
     q = pick_queries(prep, 5, 1, 3)[0]
     ag = AttributedGraph.from_local(spark, prep.graph).cache()
     min_gq = _min_gq(prep.graph.num_nodes, SEAParams(k=5, gamma=prep.gamma))
-    stats = norm_stats_spark(ag.nodes)
+    stats = ag.stats
 
     gq, _ = benchmark.pedantic(
         lambda: prioritized_neighborhood(ag.edges, ag.nodes, q, prep.gamma, stats, min_gq),

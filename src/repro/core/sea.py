@@ -15,11 +15,13 @@ Pipeline (Fig. 4):
 
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
-:func:`sea_search_spark` runs the bulk reads (the norm stats aggregate,
-and per neighbourhood BFS layer the edges touching it and the new nodes'
-rows, whose edges hold G_q's own) as Spark jobs; f(·,q), weighted
-sampling and everything after them run on the driver — the same split
-the complexity analysis of §V-D assumes.
+:func:`sea_search_spark` runs the bulk reads (per neighbourhood BFS
+layer, the edges touching it and the new nodes' rows, whose edges hold
+G_q's own) as Spark jobs and takes |V| and the norm stats from the
+graph, which recorded them when it was built; f(·,q), weighted sampling
+and everything after them run on the driver — the same split the
+complexity analysis of §V-D assumes, with per-query work following
+|G_q|.
 Both front ends evaluate f(·,q) with the one f,
 ``composite_distances_local``, and only for the nodes their BFS reaches:
 :func:`sea_search` computes it lazily as its best-first BFS grows G_q,
@@ -333,23 +335,22 @@ def _sample_estimate_loop(
 def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
     """SEA with the bulk reads as Spark jobs.
 
-    ``graph`` is an :class:`repro.graphs.attributed.AttributedGraph`.
-    The norm stats and the layer-granular prioritised BFS (which
-    collects the edges touching each layer and the new nodes' rows, and
-    computes their f(·,q) on the driver) read the Spark frames; G_q's
-    driver-side graph is built from the edges the BFS read. G_q is the
+    ``graph`` is an :class:`repro.graphs.attributed.AttributedGraph`;
+    its recorded |V| and norm stats give ``min_gq`` and f's bounds. The
+    layer-granular prioritised BFS (which collects the edges touching
+    each layer and the new nodes' rows, and computes their f(·,q) on the
+    driver) is the query's only Spark work; G_q's driver-side graph is
+    built from the edges the BFS read. G_q is the
     Hoeffding-bounded sampling population, orders of magnitude smaller
     than the graph, and the sample-estimate loop runs on the driver
     exactly as in :func:`sea_search`.
     """
-    from repro.metrics.distance import norm_stats_spark
     from repro.spark_core.bfs import prioritized_neighborhood
 
     t0 = time.perf_counter()
     min_gq = _min_gq(graph.num_nodes(), params)
-    stats = norm_stats_spark(graph.nodes)
     fvals, edges = prioritized_neighborhood(
-        graph.edges, graph.nodes, q, params.gamma, stats, min_gq
+        graph.edges, graph.nodes, q, params.gamma, graph.stats, min_gq
     )
     if q not in fvals:
         raise ValueError(f"query node {q} is not in the graph")

@@ -118,7 +118,7 @@ def kcore_nodes(g: LocalGraph, k: int, within: Optional[Set[int]] = None) -> Set
     when given.
     """
     nodes = set(g.adj) if within is None else set(within)
-    deg = {v: sum(1 for u in g.adj[v] if u in nodes) for v in nodes}
+    deg = {v: len(g.adj[v] & nodes) for v in nodes}
     queue = deque(v for v, d in deg.items() if d < k)
     while queue:
         v = queue.popleft()

@@ -7,7 +7,6 @@ from .distance import (
     delta,
     jaccard_distance,
     norm_stats_local,
-    norm_stats_spark,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "f1_score",
     "jaccard_distance",
     "norm_stats_local",
-    "norm_stats_spark",
     "vac_minmax",
     "worst_pair",
 ]

@@ -17,8 +17,9 @@ for the nodes its best-first BFS reaches, Exact for its root community,
 the experiment harness for a returned community — and each value is the
 same whichever other nodes are asked about. ``sea_search_spark``'s G_q
 BFS collects each new layer's node rows and calls it on the driver, with
-the stats of :func:`norm_stats_spark`, so the Spark front end's f equals
-the local one bit for bit. With a member u in q's place it gives one
+the bounds ``AttributedGraph.from_local`` recorded from
+:func:`norm_stats_local`, so the Spark front end's f equals the local one
+bit for bit. With a member u in q's place it gives one
 row f(u,·), which is how ``metrics.cohesiveness.worst_pair`` reads the
 pairwise distances of VAC's min-max objective; f(u,v) equals f(v,u) bit
 for bit. Tests check it against DuckDB SQL oracles. δ(H) is computed on
@@ -27,8 +28,9 @@ the driver.
 :func:`norm_stats_local` builds, in the same pass as the min/max, the
 graph's normalised |V|×d matrix and a node → row map, once per graph; f's
 numerical part is then ``abs(Z[rows] − Z[row_q]).mean(axis=1)`` over
-gathered rows. Stats without a matrix for the graph at hand (Spark's,
-hand-built ones, or another graph's) normalise exactly the requested
+gathered rows. Stats without a matrix for the graph at hand (the
+bounds-only stats of an ``AttributedGraph``, hand-built ones, or another
+graph's) normalise exactly the requested
 rows plus q's in one call and evaluate the same expression. Both paths
 equal the per-node formula bit for bit.
 
@@ -40,14 +42,11 @@ should be queried with γ=1 (γ=0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.local import LocalGraph
-
-if TYPE_CHECKING:
-    from pyspark.sql import DataFrame
 
 DEFAULT_GAMMA = 0.5
 
@@ -94,20 +93,6 @@ def norm_stats_local(g: LocalGraph) -> NormStats:
     bounds = NormStats(tuple(arr.min(axis=0)), tuple(arr.max(axis=0)))
     rows = {v: i for i, v in enumerate(ids)}
     return replace(bounds, z=bounds.normalize(arr), rows=rows, source=g.nattrs)
-
-
-def norm_stats_spark(nodes: DataFrame) -> NormStats:
-    """Spark twin of :func:`norm_stats_local` via posexplode + aggregate."""
-    from pyspark.sql import functions as F
-
-    rows = (
-        nodes.select(F.posexplode("nattrs").alias("pos", "val"))
-        .groupBy("pos")
-        .agg(F.min("val").alias("mn"), F.max("val").alias("mx"))
-        .orderBy("pos")
-        .collect()
-    )
-    return NormStats(tuple(r.mn for r in rows), tuple(r.mx for r in rows))
 
 
 def jaccard_distance(a: frozenset, b: frozenset) -> float:

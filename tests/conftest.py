@@ -14,9 +14,8 @@ def tiny():
 
 @pytest.fixture(scope="session")
 def tiny_spark(spark, tiny):
-    g = AttributedGraph.from_local(spark, tiny.graph).cache()
-    g.num_nodes()  # materialise
-    return g
+    # cached lazily: the first query's reads materialise the frames
+    return AttributedGraph.from_local(spark, tiny.graph).cache()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
-"""Tests for composite distance and cohesiveness metrics (driver f, Spark
-norm stats, DuckDB oracle)."""
+"""Tests for composite distance and cohesiveness metrics (driver f, norm
+stats, DuckDB oracle)."""
 import os
 import subprocess
 import sys
@@ -19,7 +19,6 @@ from repro.metrics import (
     f1_score,
     jaccard_distance,
     norm_stats_local,
-    norm_stats_spark,
     vac_minmax,
     worst_pair,
 )
@@ -59,12 +58,6 @@ class TestNormStats:
     def test_constant_dim(self):
         s = NormStats((5.0,), (5.0,))
         assert s.normalize(np.array([5.0])) == pytest.approx([0.0])
-
-    def test_spark_matches_local(self, tiny, tiny_spark):
-        sl = norm_stats_local(tiny.graph)
-        ss = norm_stats_spark(tiny_spark.nodes)
-        assert ss.mins == pytest.approx(sl.mins)
-        assert ss.maxs == pytest.approx(sl.maxs)
 
     def test_empty_dims(self):
         g = LocalGraph.from_edges([(0, 1)], nattrs={0: [], 1: []})

@@ -1,17 +1,14 @@
 """Tests for the Spark dataflow of the Spark SEA front end: the
-prioritised G_q BFS, its f(·,q) and the edges it returns."""
+prioritised G_q BFS, its f(·,q) and the edges it returns, and the
+per-graph facts an ``AttributedGraph`` records so a query reads only
+G_q."""
 import pytest
 
-from repro.core import SEAParams
+from repro.core import SEAParams, sea_search_spark
 from repro.core.sea import _min_gq
 from repro.experiments import pick_queries, prepare
 from repro.graphs import AttributedGraph, LocalGraph
-from repro.metrics import (
-    NormStats,
-    composite_distances_local,
-    norm_stats_local,
-    norm_stats_spark,
-)
+from repro.metrics import NormStats, composite_distances_local, norm_stats_local
 from repro.spark_core import prioritized_neighborhood
 
 
@@ -71,7 +68,7 @@ def layer_bfs(g, q, min_size):
 
 @pytest.mark.parametrize("q", [0, 23, 47, 71])
 def test_matches_driver_reference(tiny, tiny_spark, q):
-    stats = norm_stats_spark(tiny_spark.nodes)
+    stats = tiny_spark.stats
     for n in (2, 10, 40, tiny.graph.num_nodes + 1):
         got, edges = prioritized_neighborhood(
             tiny_spark.edges, tiny_spark.nodes, q, 0.5, stats, n
@@ -90,7 +87,7 @@ def test_f_equals_driver_f_on_16_dims(spark):
     is the driver's f bit for bit, as ``sea_search_spark`` calls it."""
     prep = prepare("dbpedia")
     ag = AttributedGraph.from_local(spark, prep.graph).cache()
-    stats = norm_stats_spark(ag.nodes)
+    stats = ag.stats
     min_gq = _min_gq(prep.graph.num_nodes, SEAParams(k=4, gamma=prep.gamma))
     for q in pick_queries(prep, 4, 3, 1):
         got, _ = prioritized_neighborhood(ag.edges, ag.nodes, q, prep.gamma, stats, min_gq)
@@ -99,3 +96,21 @@ def test_f_equals_driver_f_on_16_dims(spark):
         )
         assert len(got) == min_gq
         assert got == want, q
+
+
+def test_query_runs_no_count_or_aggregate(tiny, tiny_spark, monkeypatch):
+    """|V| and the norm-stat bounds are recorded when the frames are
+    built: they equal the driver's, and a Spark SEA query answers with
+    every count and aggregate of its frames raising."""
+    ag = tiny_spark
+    assert ag.stats == norm_stats_local(tiny.graph)  # the bounds only
+    assert ag.num_nodes() == tiny.graph.num_nodes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a query ran a count or an aggregate")
+
+    frame = type(ag.nodes)
+    for name in ("count", "groupBy", "agg"):
+        monkeypatch.setattr(frame, name, forbidden)
+    r = sea_search_spark(ag, 0, SEAParams(k=4, e=0.25, seed=1))
+    assert r.community is not None and 0 in r.community
