@@ -1,11 +1,11 @@
 """Run one SEA query end-to-end through the Spark dataflow path.
 
-The Hoeffding-sized prioritised BFS (two filtered collects per layer: the
-edges touching it, then the new nodes' rows; and one last edge read, so
-the edges read hold G_q's own) is read as Spark DataFrame jobs
-(``sea_search_spark``). |V| and the norm stats were recorded when the
-``AttributedGraph`` was built; the BFS loop state, f(·,q), G_q's
-driver-side graph and the sample-estimate loop live on the driver.
+The Hoeffding-sized prioritised BFS (one filtered collect per layer: the
+new nodes' rows, whose neighbour lists give the next layer and G_q's
+edges) is read as Spark DataFrame jobs (``sea_search_spark``). |V| and
+the norm stats were recorded when the ``AttributedGraph`` was built; the
+BFS loop state, f(·,q), G_q's driver-side graph and the sample-estimate
+loop live on the driver.
 
     spark-submit jobs/sea_query.py [--dataset facebook] [--k 5] [--e 0.1]
 """

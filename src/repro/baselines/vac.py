@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.graphs.local import LocalGraph, community_model
+from repro.graphs.local import LocalGraph, check_query, community_model
 from repro.metrics.cohesiveness import worst_pair
 from repro.metrics.distance import DEFAULT_GAMMA, NormStats, norm_stats_local
 
@@ -45,6 +45,7 @@ def vac_search(
     and with ``stats=None`` that matrix is rebuilt over all |V| nodes on
     every query.
     """
+    check_query(g, q, k)
     cm = community_model(model)
     comm = cm.maximal(g, q, k)
     if not comm:
@@ -79,6 +80,7 @@ def evac_search(
     max_states: int = 50_000,
 ) -> Tuple[Optional[Set[int]], int, bool]:
     """Exact VAC: enumerate deletion-closed states, minimise min-max."""
+    check_query(g, q, k)
     cm = community_model(model)
     root = cm.maximal(g, q, k)
     if not root:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.graphs.local import LocalGraph, community_model
+from repro.graphs.local import LocalGraph, check_query, community_model
 from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -77,8 +77,7 @@ def exact_cs(
     and with ``stats=None`` that matrix is rebuilt over all |V| nodes on
     every query.
     """
-    if q not in g.adj:
-        raise ValueError(f"query node {q} is not in the graph")
+    check_query(g, q, k)
     t0 = time.perf_counter()
     cm = community_model(model)
     root = cm.maximal(g, q, k)

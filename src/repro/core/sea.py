@@ -16,8 +16,8 @@ Pipeline (Fig. 4):
 Two front ends share the sample-estimate loop: :func:`sea_search` is the
 all-local path used by the per-query experiment harnesses, while
 :func:`sea_search_spark` runs the bulk reads (per neighbourhood BFS
-layer, the edges touching it and the new nodes' rows, whose edges hold
-G_q's own) as Spark jobs and takes |V| and the norm stats from the
+layer, one collect of the new nodes' rows, whose neighbour lists hold
+G_q's edges) as Spark jobs and takes |V| and the norm stats from the
 graph, which recorded them when it was built; f(·,q), weighted sampling
 and everything after them run on the driver — the same split the
 complexity analysis of §V-D assumes, with per-query work following
@@ -90,6 +90,7 @@ class SEAParams:
                 raise ValueError(f"SEAParams: {what}, got {value!r}")
 
         need(self.k >= 1, "k must be >= 1", self.k)
+        min_size = community_model(self.model).min_size(self.k)  # raises on an unknown model
         need(self.e > 0, "e must be > 0", self.e)
         need(self.max_rounds >= 1, "max_rounds must be >= 1", self.max_rounds)
         need(0 <= self.gamma <= 1, "gamma must be in [0, 1]", self.gamma)
@@ -101,6 +102,8 @@ class SEAParams:
         if self.size_bound is not None:
             lo, hi = self.size_bound
             need(1 <= lo <= hi, "size_bound (l, h) needs 1 <= l <= h", self.size_bound)
+            need(hi >= min_size, f"size_bound's h must be >= {min_size}, the fewest "
+                 f"nodes of a {self.model} community at k={self.k}", self.size_bound)
 
 
 @dataclass
@@ -337,10 +340,10 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
 
     ``graph`` is an :class:`repro.graphs.attributed.AttributedGraph`;
     its recorded |V| and norm stats give ``min_gq`` and f's bounds. The
-    layer-granular prioritised BFS (which collects the edges touching
-    each layer and the new nodes' rows, and computes their f(·,q) on the
-    driver) is the query's only Spark work; G_q's driver-side graph is
-    built from the edges the BFS read. G_q is the
+    layer-granular prioritised BFS (which collects the new nodes' rows
+    per layer and computes their f(·,q) on the driver) is the query's
+    only Spark work; G_q's driver-side graph is built from the edges the
+    BFS takes from G_q's rows. G_q is the
     Hoeffding-bounded sampling population, orders of magnitude smaller
     than the graph, and the sample-estimate loop runs on the driver
     exactly as in :func:`sea_search`.
@@ -349,17 +352,13 @@ def sea_search_spark(graph, q: int, params: SEAParams) -> SEAResult:
 
     t0 = time.perf_counter()
     min_gq = _min_gq(graph.num_nodes(), params)
-    fvals, edges = prioritized_neighborhood(
-        graph.edges, graph.nodes, q, params.gamma, graph.stats, min_gq
-    )
+    fvals, edges = prioritized_neighborhood(graph.nodes, q, params.gamma, graph.stats, min_gq)
     if q not in fvals:
         raise ValueError(f"query node {q} is not in the graph")
     # order G_q by distance so the driver-side loop sees the same
     # preferential ordering the BFS produced
     gq = sorted(fvals, key=lambda v: (fvals[v], v))
-    g_local = LocalGraph.from_edges(
-        [(v, u) for v, u in edges if v in fvals and u in fvals], nodes=gq
-    )
+    g_local = LocalGraph.from_edges(edges, nodes=gq)
     t_s1 = time.perf_counter() - t0
     return _sample_estimate_loop(
         g_local, q, params, fvals, gq, min_gq, sampling_s=t_s1, started=t0

@@ -246,3 +246,11 @@ def community_model(name: str) -> CommunityModel:
         return COMMUNITY_MODELS[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
+
+
+def check_query(g: LocalGraph, q: int, k: int) -> None:
+    """Reject a query node that is not in ``g`` and a ``k`` below 1."""
+    if q not in g.adj:
+        raise ValueError(f"query node {q} is not in the graph")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")

@@ -1,7 +1,7 @@
 """Spark DataFrame dataflow of the Spark SEA front end: the G_q BFS, a
-driver loop of filtered collects (the edges touching each layer, then the
-new nodes' rows) whose f(·,q) the driver computes and whose edges hold
-G_q's own."""
+driver loop of one filtered collect per layer (the new nodes' rows, each
+with its neighbour list) whose f(·,q) the driver computes and whose
+neighbour lists hold G_q's edges."""
 from .bfs import prioritized_neighborhood
 
 __all__ = [

@@ -8,18 +8,16 @@ Hoeffding minimum size, only its smallest-``f`` nodes are admitted —
 layer-granular best-first, the bulk-synchronous rendering of the paper's
 sequential heap expansion.
 
-The visited set, the frontier and the edges read live on the driver; the
-first two never exceed |G_q| ids. Each layer is two filtered collects
-with no shuffle: the canonical (``src < dst``) edges with an endpoint in
-the frontier, then the node rows (``id, tattrs, nattrs``) of the
-unvisited neighbours. The driver computes f(·,q) for those rows with
+The visited set, the layers and the collected rows live on the driver.
+Each layer is one filtered collect with no shuffle: the node rows (``id,
+tattrs, nattrs, nbrs``) of the frontier's unvisited neighbours, which the
+frontier's own rows, collected a layer earlier, list. The driver computes
+f(·,q) for those rows with
 :func:`repro.metrics.distance.composite_distances_local`, the one f, so
 f is evaluated only for the nodes the BFS reaches and equals the local
-front end's f bit for bit. The edges read are kept: after one more edge
-read for the last admitted layer, they hold every edge of G_q, so the
-caller needs no second read of G_q's edges.
+front end's f bit for bit. G_q's rows list G_q's edges.
 """
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from pyspark.sql import Column, DataFrame
@@ -29,20 +27,19 @@ from repro.graphs.local import LocalGraph
 from repro.metrics.distance import NormStats, composite_distances_local
 
 
-def _collect_rows(nodes: DataFrame, cond: Column, into: LocalGraph) -> List[int]:
-    """Collect the attribute rows matching ``cond`` into ``into``'s
-    attribute maps; return their ids."""
-    ids = []
-    for r in nodes.where(cond).select("id", "tattrs", "nattrs").collect():
+def _collect_rows(nodes: DataFrame, cond: Column, into: LocalGraph) -> Dict[int, List[int]]:
+    """Collect the rows matching ``cond`` into ``into``'s attribute maps;
+    return their ids with their neighbour lists."""
+    nbrs = {}
+    for r in nodes.where(cond).collect():
         v = int(r.id)
         into.tattrs[v] = frozenset(r.tattrs)
         into.nattrs[v] = np.asarray(r.nattrs, dtype=float)
-        ids.append(v)
-    return ids
+        nbrs[v] = r.nbrs
+    return nbrs
 
 
 def prioritized_neighborhood(
-    edges: DataFrame,
     nodes: DataFrame,
     q: int,
     gamma: float,
@@ -51,40 +48,36 @@ def prioritized_neighborhood(
 ) -> Tuple[Dict[int, float], List[Tuple[int, int]]]:
     """Grow ``G_q`` to ≥ ``min_size`` nodes (or q's whole component).
 
-    ``edges``: the canonical ``src, dst`` edge frame; ``nodes``: the
-    ``id, tattrs, nattrs`` node frame; ``gamma`` and ``stats``
-    parametrise f(·,q). Returns ``{id: f}`` for the selected nodes, q
-    included, and the ``(src, dst)`` edges read, each once: every edge
-    with an endpoint in G_q, so G_q's own edges among them. When q has
-    no row in ``nodes`` (it is not in the graph) both are empty. Each
-    round admits at least one unvisited node or stops, so the loop ends
-    within |V| rounds.
+    ``nodes``: the ``id, tattrs, nattrs, nbrs`` node frame; ``gamma`` and
+    ``stats`` parametrise f(·,q). Returns ``{id: f}`` for the selected
+    nodes, q included, and G_q's edges ``(v, u)``, ``v < u``, each once.
+    When q has no row in ``nodes`` (it is not in the graph) both are
+    empty. Each round admits at least one unvisited node or stops, so the
+    loop ends within |V| rounds.
     """
     rows = LocalGraph({})  # edgeless: the attribute rows collected so far
-    if not _collect_rows(nodes, F.col("id") == q, rows):
+    nbrs = _collect_rows(nodes, F.col("id") == q, rows)
+    if not nbrs:
         return {}, []
     visited = composite_distances_local(rows, q, gamma, stats, nodes=[q])
-    read: List[Tuple[int, int]] = []
-    done: Set[int] = set()  # the nodes whose edges have been read
-    frontier = [q]
-    while frontier:
-        hit = F.col("src").isin(frontier) | F.col("dst").isin(frontier)
-        layer_edges = [
-            (int(r.src), int(r.dst))
-            for r in edges.where(hit).select("src", "dst").collect()
-        ]
-        read += (e for e in layer_edges if e[0] not in done and e[1] not in done)
-        done.update(frontier)
-        if len(visited) >= min_size:
-            break
-        new = {u for e in layer_edges for u in e} - visited.keys()
+    layers = [[q]]  # G_q's BFS layers; the last is the frontier
+    while len(visited) < min_size:
+        new = {u for v in layers[-1] for u in nbrs[v]} - visited.keys()
         if not new:
             break  # q's component is exhausted
-        ids = _collect_rows(nodes, F.col("id").isin(sorted(new)), rows)
-        f = composite_distances_local(rows, q, gamma, stats, nodes=ids)
+        got = _collect_rows(nodes, F.col("id").isin(sorted(new)), rows)
+        nbrs.update(got)
+        f = composite_distances_local(rows, q, gamma, stats, nodes=got)
         # admit only the closest nodes of the final layer
         layer = sorted((fv, v) for v, fv in f.items())
         layer = layer[: min_size - len(visited)]
         visited.update((v, fv) for fv, v in layer)
-        frontier = [v for _, v in layer]
-    return visited, read
+        layers.append([v for _, v in layer])
+    # G_q's edges in the order a layer-by-layer read of a canonical (v < u)
+    # edge list in ascending v meets them: by the earlier layer of their
+    # ends, then by v, then in v's neighbour-list order. The adjacency
+    # order of the caller's G_q, which sampling sees, follows this order
+    hop = {v: i for i, ids in enumerate(layers) for v in ids}
+    edges = [(v, u) for v in sorted(visited) for u in nbrs[v] if v < u and u in visited]
+    edges.sort(key=lambda e: min(hop[e[0]], hop[e[1]]))
+    return visited, edges

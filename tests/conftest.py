@@ -14,7 +14,7 @@ def tiny():
 
 @pytest.fixture(scope="session")
 def tiny_spark(spark, tiny):
-    # cached lazily: the first query's reads materialise the frames
+    # cached lazily: the first query's reads materialise the frame
     return AttributedGraph.from_local(spark, tiny.graph).cache()
 
 

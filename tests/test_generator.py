@@ -1,5 +1,7 @@
 """Tests for the planted-partition generators and the dataset registry."""
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +261,18 @@ def test_recipe_pinned(name):
     gen = load(name)
     assert PINNED.keys() == REGISTRY.keys()
     assert (gen.graph.num_nodes, gen.graph.num_edges, _fingerprint(gen)) == PINNED[name]
+
+
+def test_benchmark_recipe_is_the_registry_one():
+    """The query benchmark keeps its own copy of the facebook recipe, which
+    it scales up; that copy is the registry's, so the two cannot drift."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    (value,) = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["FACEBOOK"]
+    ]
+    assert isinstance(value, ast.Call) and value.func.id == "dict" and not value.args
+    copy = {kw.arg: ast.literal_eval(kw.value) for kw in value.keywords}
+    assert copy == REGISTRY["facebook"][1]

@@ -1,13 +1,16 @@
 """Bad inputs are rejected at the API boundary with a ValueError.
 
 Out-of-range SEA parameters would otherwise pass silently (``alpha=1.5``
-makes the Theorem-11 test vacuous, ``k=0`` returns {q} as satisfied) or
-fail deep inside a loop (``e=-1``, ``alpha=0``); a query node that is not
-in the graph would raise ``KeyError`` from the distance pass (SEA) or
-return no community (Exact, Spark SEA).
+makes the Theorem-11 test vacuous, ``k=0`` returns {q} as satisfied, an
+``h`` below the model's fewest nodes leaves no community) or fail deep
+inside a loop (``e=-1``, ``alpha=0``, an unknown model after the G_q
+BFS); a query node that is not in the graph would raise ``KeyError``
+from the distance pass (SEA) or return no community (Exact, VAC, E-VAC,
+Spark SEA), and ``k=0`` makes Exact enumerate q's whole component.
 """
 import pytest
 
+from repro.baselines import evac_search, vac_search
 from repro.core import SEAParams, exact_cs, sea_search, sea_search_spark
 
 MISSING = 10**6  # no node of the tiny fixture has this id
@@ -29,6 +32,8 @@ BAD_PARAMS = [
     dict(hoeffding_beta=1.0),
     dict(size_bound=(0, 10)),
     dict(size_bound=(20, 10)),
+    dict(model="bogus"),
+    dict(size_bound=(2, 3), k=4),  # h below a 4-core's 5 nodes
 ]
 
 CASES = [
@@ -42,6 +47,12 @@ CASES = [
     pytest.param(
         lambda g: exact_cs(g, MISSING, 4), str(MISSING), id="exact_cs-missing-q"
     ),
+] + [
+    pytest.param(lambda g, f=f: f(g, MISSING, 4), str(MISSING), id=f"{f.__name__}-missing-q")
+    for f in (vac_search, evac_search)
+] + [
+    pytest.param(lambda g, f=f: f(g, 0, 0), "got 0", id=f"{f.__name__}-k0")
+    for f in (exact_cs, vac_search, evac_search)
 ]
 
 

@@ -1,7 +1,8 @@
 """Tests for the Spark dataflow of the Spark SEA front end: the
-prioritised G_q BFS, its f(·,q) and the edges it returns, and the
-per-graph facts an ``AttributedGraph`` records so a query reads only
-G_q."""
+prioritised G_q BFS, its f(·,q), the edges it returns and its one
+Spark job per layer, and the per-graph facts an ``AttributedGraph``
+records so a query reads only G_q."""
+import networkx as nx
 import pytest
 
 from repro.core import SEAParams, sea_search_spark
@@ -27,7 +28,7 @@ class TestPrioritizedNeighborhood:
     @staticmethod
     def grow(g, min_size):
         gq, _ = prioritized_neighborhood(
-            g.edges, g.nodes, 0, 0.0, NormStats((0.0,), (1.0,)), min_size
+            g.nodes, 0, 0.0, NormStats((0.0,), (1.0,)), min_size
         )
         return gq
 
@@ -70,9 +71,7 @@ def layer_bfs(g, q, min_size):
 def test_matches_driver_reference(tiny, tiny_spark, q):
     stats = tiny_spark.stats
     for n in (2, 10, 40, tiny.graph.num_nodes + 1):
-        got, edges = prioritized_neighborhood(
-            tiny_spark.edges, tiny_spark.nodes, q, 0.5, stats, n
-        )
+        got, edges = prioritized_neighborhood(tiny_spark.nodes, q, 0.5, stats, n)
         want = layer_bfs(tiny.graph, q, n)
         assert set(got) == set(want), n
         assert all(got[v] == want[v] for v in want), n
@@ -80,6 +79,32 @@ def test_matches_driver_reference(tiny, tiny_spark, q):
         assert sorted(e for e in edges if e[0] in got and e[1] in got) == sorted(
             (v, u) for v in want for u in tiny.graph.adj[v] if u in want and v < u
         ), n
+
+
+def hops(g, q):
+    """The hop distance from q of every node of q's component."""
+    return nx.single_source_shortest_path_length(
+        nx.Graph([(v, u) for v in g.adj for u in g.adj[v]]), q
+    )
+
+
+@pytest.mark.parametrize("q", [0, 23, 47, 71])
+def test_edges_in_layer_read_order(tiny, tiny_spark, q):
+    """G_q's edges come in the order a layer-by-layer read of the canonical
+    (v < u) edge list meets them: each at the earlier layer of its ends,
+    then by v, then in v's adjacency order. The driver-side G_q's
+    adjacency order, which SEA's sampling sees, follows this order."""
+    hop = hops(tiny.graph, q)
+    canonical = [(v, u) for v in sorted(tiny.graph.adj) for u in tiny.graph.adj[v] if v < u]
+    for n in (10, 40):
+        got, edges = prioritized_neighborhood(tiny_spark.nodes, q, 0.5, tiny_spark.stats, n)
+        want = [
+            (v, u)
+            for layer in range(max(hop[v] for v in got) + 1)
+            for v, u in canonical
+            if v in got and u in got and min(hop[v], hop[u]) == layer
+        ]
+        assert edges == want, n
 
 
 def test_f_equals_driver_f_on_16_dims(spark):
@@ -90,7 +115,7 @@ def test_f_equals_driver_f_on_16_dims(spark):
     stats = ag.stats
     min_gq = _min_gq(prep.graph.num_nodes, SEAParams(k=4, gamma=prep.gamma))
     for q in pick_queries(prep, 4, 3, 1):
-        got, _ = prioritized_neighborhood(ag.edges, ag.nodes, q, prep.gamma, stats, min_gq)
+        got, _ = prioritized_neighborhood(ag.nodes, q, prep.gamma, stats, min_gq)
         want = composite_distances_local(
             prep.graph, q, prep.gamma, norm_stats_local(prep.graph), nodes=got
         )
@@ -114,3 +139,26 @@ def test_query_runs_no_count_or_aggregate(tiny, tiny_spark, monkeypatch):
         monkeypatch.setattr(frame, name, forbidden)
     r = sea_search_spark(ag, 0, SEAParams(k=4, e=0.25, seed=1))
     assert r.community is not None and 0 in r.community
+
+
+def test_one_job_per_layer(tiny, tiny_spark, monkeypatch):
+    """A Spark SEA query runs one Spark job for q's row and one per BFS
+    layer, and |E| is a recorded fact: ``num_edges()`` runs no count."""
+    q, p = 0, SEAParams(k=4, e=0.25, seed=1)
+    gq = layer_bfs(tiny.graph, q, _min_gq(tiny.graph.num_nodes, p))
+    hop = hops(tiny.graph, q)
+    layers = max(hop[v] for v in gq)
+    sc = tiny_spark.nodes.sparkSession.sparkContext
+    sc.setJobGroup("one-job-per-layer", "sea_search_spark")
+    try:
+        r = sea_search_spark(tiny_spark, q, p)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert r.gq_size == len(gq) and layers >= 2
+    assert len(sc.statusTracker().getJobIdsForGroup("one-job-per-layer")) == 1 + layers
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("num_edges() ran a count")
+
+    monkeypatch.setattr(type(tiny_spark.nodes), "count", forbidden)
+    assert tiny_spark.num_edges() == tiny.graph.num_edges
