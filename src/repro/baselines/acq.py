@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Set
 
-from repro.graphs.local import LocalGraph, community_model
+from repro.graphs.local import LocalGraph, check_query, community_model
 
 from .common import timed
 
@@ -25,6 +25,7 @@ def acq_search(
     g: LocalGraph, q: int, k: int, model: str = "core"
 ) -> Optional[Set[int]]:
     """Largest-shared-attribute-set connected k-core containing q."""
+    check_query(g, q, k)
     maximal = community_model(model).maximal
     qt = sorted(g.tattrs.get(q, frozenset()))
     if not qt:

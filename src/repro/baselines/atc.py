@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.graphs.local import LocalGraph, community_model
+from repro.graphs.local import LocalGraph, check_query, community_model
 from repro.metrics.cohesiveness import atc_coverage
 
 from .common import timed
@@ -25,6 +25,7 @@ def locatc_search(
     g: LocalGraph, q: int, k: int, model: str = "core"
 ) -> Optional[Set[int]]:
     """Greedy coverage-maximising connected k-core containing q."""
+    check_query(g, q, k)
     cm = community_model(model)
     comm = cm.maximal(g, q, k)
     if not comm:

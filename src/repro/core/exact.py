@@ -15,15 +15,30 @@ prunings cut:
   ``δ̲`` (mean of the k smallest f in the state) reaches the best δ so far
   (Theorem 6, Eqs. 3–4).
 
+A k-core state carries its within-state degrees. A child copies them,
+deletes one node and cascades the peel from it (``kcore_cascade``); P1 is
+decided on the cascade, and only a child that survives it pays for the
+BFS to q's component, the one ``maximal`` would run, so it is the same
+set in the same order. k-truss children are recomputed with the model's
+``maximal``. Every state's P2 candidates and P3 bound are walks of one
+order of the root by f.
+
 Counters for explored states per pruning configuration feed Table IV.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.graphs.local import LocalGraph, check_query, community_model
+from repro.graphs.local import (
+    LocalGraph,
+    check_query,
+    community_model,
+    connected_component,
+    kcore_cascade,
+)
 from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -47,11 +62,15 @@ class ExactResult:
     capped: bool  # True when max_states stopped the search early
 
 
-def _lower_bound(state: Set[int], q: int, fvals: Dict[int, float], m: int) -> float:
-    """Eqs. 3–4: mean f of the m closest non-query members of the state."""
-    others = sorted(fvals[v] for v in state if v != q)
-    take = others[:m] if m > 0 else []
-    return sum(take) / len(take) if take else 0.0
+def _walk(
+    order: List[int], state: Set[int], fvals: Dict[int, float], above: float
+) -> Iterator[int]:
+    """The members of ``state`` in ``order``, while their f exceeds ``above``."""
+    for v in order:
+        if fvals[v] <= above:
+            return
+        if v in state:
+            yield v
 
 
 def exact_cs(
@@ -86,32 +105,38 @@ def exact_cs(
     if not root:
         return ExactResult(None, INF, 0, 0, 0, time.perf_counter() - t0, False)
     fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
+    # every state's P2 candidates in priority order (descending f, then
+    # ascending id) and its P3 bound (ascending f) are walks of one order
+    by_f = sorted(root - {q}, key=lambda v: (-fvals[v], v))
+    by_f_asc = by_f[::-1]
 
     best_delta, best_comm = delta(fvals, root, q), set(root)
     states = dup = unpromising = 0
     capped = False
-    # depth-first search tree: (state, f of the node whose deletion made
-    # it, its not yet tried deletions in priority order)
-    stack: List[Tuple[Set[int], float, Iterator[int]]] = []
+    # k-core states carry their within-state degrees; truss states None
+    core = model == "core"
+    # depth-first search tree: (state, its degrees, f of the node whose
+    # deletion made it, its not yet tried deletions in priority order)
+    stack: List[Tuple[Set[int], Optional[Dict[int, int]], float, Iterator[int]]] = []
 
-    def enter(state: Set[int], state_delta: float, f_u: float) -> None:
+    def enter(
+        state: Set[int], deg: Optional[Dict[int, int]], state_delta: float, f_u: float
+    ) -> None:
         nonlocal unpromising
         if prune_unpromising:
-            lb = _lower_bound(state, q, fvals, min_others)
-            if lb >= best_delta:
+            # Eqs. 3–4: mean f of the min_others closest non-query members
+            closest = islice(_walk(by_f_asc, state, fvals, -INF), min_others)
+            take = [fvals[v] for v in closest]
+            if (sum(take) / len(take) if take else 0.0) >= best_delta:
                 unpromising += 1
                 return
-        if prune_unnecessary:
-            candidates = [v for v in state if v != q and fvals[v] > state_delta]
-        else:
-            candidates = [v for v in state if v != q]
-        # priority enumeration: descending composite distance to q
-        candidates.sort(key=lambda v: (-fvals[v], v))
-        stack.append((state, f_u, iter(candidates)))
+        above = state_delta if prune_unnecessary else -INF
+        stack.append((state, deg, f_u, _walk(by_f, state, fvals, above)))
 
-    enter(set(root), best_delta, INF)
+    root_deg = {v: len(g.adj[v] & root) for v in root} if core else None
+    enter(set(root), root_deg, best_delta, INF)
     while stack:
-        state, f_u, candidates = stack[-1]
+        state, deg, f_u, candidates = stack[-1]
         v = next(candidates, None)
         if v is None:
             stack.pop()
@@ -119,19 +144,33 @@ def exact_cs(
         if max_states is not None and states >= max_states:
             capped = True
             break
-        new_state = cm.maximal(g, q, k, within=state - {v})
         states += 1
-        if not new_state:
-            continue  # q collapsed out — dead branch
-        # v, the cascade and the nodes cut off from q
-        f_vm = max(fvals[u] for u in state - new_state)
-        if prune_duplicate and f_vm > f_u:
+        if core:
+            # delete v and cascade the peel from its neighbours (P1 first:
+            # a dropped node farther than u makes the state a duplicate)
+            alive, new_deg = set(state), dict(deg)
+            lost = kcore_cascade(g, k, alive, new_deg, (v,))
+            if q not in alive:
+                continue  # q collapsed out — dead branch
+            if prune_duplicate and any(fvals[u] > f_u for u in lost):
+                dup += 1
+                continue  # Theorem 4: duplicates an earlier state
+            new_state = connected_component(g, q, alive)
+            # P1 also reads the nodes the BFS cut off from q
+            lost = alive - new_state if len(new_state) < len(alive) else ()
+        else:
+            new_deg = None
+            new_state = cm.maximal(g, q, k, within=state - {v})
+            if not new_state:
+                continue  # q collapsed out — dead branch
+            lost = state - new_state  # v, the cascade and the cut-off nodes
+        if prune_duplicate and any(fvals[u] > f_u for u in lost):
             dup += 1
             continue  # Theorem 4: duplicates an earlier state
         nd = delta(fvals, new_state, q)
         if nd < best_delta:
             best_delta, best_comm = nd, set(new_state)
-        enter(new_state, nd, fvals[v])
+        enter(new_state, new_deg, nd, fvals[v])
 
     return ExactResult(
         community=best_comm,

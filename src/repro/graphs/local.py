@@ -10,7 +10,9 @@ implementation runs them. ``sea_search_spark`` collects its G_q into one.
 Tests check core decomposition, k-core, k-truss and connected components
 against ``networkx``. :func:`community_model` is the one place that maps
 a model name ("core", "truss") to its algorithms; every peel step is its
-``maximal(g, q, k, within=state - {v})``.
+``maximal(g, q, k, within=state - {v})``, except Exact's k-core step,
+which carries the state's degrees into :func:`kcore_cascade`, the one
+k-core peel loop, which :func:`kcore_nodes` also runs.
 """
 from __future__ import annotations
 
@@ -119,18 +121,38 @@ def kcore_nodes(g: LocalGraph, k: int, within: Optional[Set[int]] = None) -> Set
     """
     nodes = set(g.adj) if within is None else set(within)
     deg = {v: len(g.adj[v] & nodes) for v in nodes}
-    queue = deque(v for v, d in deg.items() if d < k)
+    kcore_cascade(g, k, nodes, deg, (v for v, d in deg.items() if d < k))
+    return nodes
+
+
+def kcore_cascade(
+    g: LocalGraph, k: int, nodes: Set[int], deg: Dict[int, int], start: Iterable[int]
+) -> List[int]:
+    """Delete ``start`` from ``nodes`` and cascade the k-core peel.
+
+    ``deg[v]`` is v's degree within ``nodes`` for every member v and stays
+    so; every member outside ``start`` has degree ≥ k. Each deletion lowers
+    its surviving neighbours' degrees, and a member whose degree falls
+    below k is deleted in turn. Returns the deleted nodes in deletion
+    order; ``nodes`` and ``deg`` are updated in place (``deg`` keeps stale
+    entries for the deleted nodes). Deleting v from a k-core and cascading
+    leaves the k-core of the rest: Exact's peel step (Theorems 3–4)
+    without recounting any degree.
+    """
+    queue = deque(start)
+    dropped = []
     while queue:
         v = queue.popleft()
         if v not in nodes:
             continue
         nodes.discard(v)
+        dropped.append(v)
         for u in g.adj[v]:
             if u in nodes:
                 deg[u] -= 1
                 if deg[u] < k:
                     queue.append(u)
-    return nodes
+    return dropped
 
 
 def connected_component(

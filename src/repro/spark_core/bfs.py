@@ -65,7 +65,9 @@ def prioritized_neighborhood(
         new = {u for v in layers[-1] for u in nbrs[v]} - visited.keys()
         if not new:
             break  # q's component is exhausted
-        got = _collect_rows(nodes, F.col("id").isin(sorted(new)), rows)
+        # one SQL expression: ``isin`` makes one py4j call per id
+        ids = ", ".join(map(str, sorted(new)))  # ints, so no quoting
+        got = _collect_rows(nodes, F.expr(f"id IN ({ids})"), rows)
         nbrs.update(got)
         f = composite_distances_local(rows, q, gamma, stats, nodes=got)
         # admit only the closest nodes of the final layer

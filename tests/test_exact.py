@@ -176,3 +176,30 @@ def test_table4_facebook_counts_pinned():
         r = exact_cs(prep.graph, q, 4, gamma=prep.gamma, stats=prep.stats)
         got.append((q, r.states, r.pruned_duplicate, r.pruned_unpromising))
     assert got == TABLE4_FACEBOOK_COUNTS
+
+
+# (states, pruned_duplicate, pruned_unpromising, capped) of Table IV's four
+# pruning configurations on one facebook query (k=4, seed 3, the table's
+# cap of 60 000 states): P1, P2 and P3 are each switched off somewhere
+TABLE4_CONFIG_COUNTS = {
+    "Exact": (3212, 2442, 0, False),
+    "Exact\\P3": (3212, 2442, 0, False),
+    "Exact\\P3+P2": (60000, 32465, 0, True),
+    "Exact w/o P": (60000, 0, 0, True),
+}
+
+
+def test_table4_configs_pinned():
+    """Each pruning toggle is honoured: the states every configuration
+    explores, with its counters, are the recorded ones."""
+    from repro.experiments.harness import pick_queries, prepare
+    from repro.experiments.tables import TABLE4_CONFIGS
+
+    prep = prepare("facebook")
+    (q,) = pick_queries(prep, 4, 1, seed=3)
+    got = {}
+    for label, toggles in TABLE4_CONFIGS:
+        r = exact_cs(prep.graph, q, 4, gamma=prep.gamma, stats=prep.stats,
+                     max_states=60_000, **toggles)
+        got[label] = (r.states, r.pruned_duplicate, r.pruned_unpromising, r.capped)
+    assert got == TABLE4_CONFIG_COUNTS

@@ -6,11 +6,12 @@ makes the Theorem-11 test vacuous, ``k=0`` returns {q} as satisfied, an
 inside a loop (``e=-1``, ``alpha=0``, an unknown model after the G_q
 BFS); a query node that is not in the graph would raise ``KeyError``
 from the distance pass (SEA) or return no community (Exact, VAC, E-VAC,
-Spark SEA), and ``k=0`` makes Exact enumerate q's whole component.
+ACQ, LocATC, Spark SEA), and ``k=0`` makes Exact enumerate q's whole
+component and LocATC return a community.
 """
 import pytest
 
-from repro.baselines import evac_search, vac_search
+from repro.baselines import acq_search, evac_search, locatc_search, vac_search
 from repro.core import SEAParams, exact_cs, sea_search, sea_search_spark
 
 MISSING = 10**6  # no node of the tiny fixture has this id
@@ -53,6 +54,12 @@ CASES = [
 ] + [
     pytest.param(lambda g, f=f: f(g, 0, 0), "got 0", id=f"{f.__name__}-k0")
     for f in (exact_cs, vac_search, evac_search)
+] + [
+    pytest.param(lambda g, f=f: f(g, MISSING, 4), str(MISSING), id=f"{f.__name__}-missing-q")
+    for f in (acq_search, locatc_search)
+] + [
+    pytest.param(lambda g, f=f: f(g, 0, 0), "got 0", id=f"{f.__name__}-k0")
+    for f in (acq_search, locatc_search)
 ]
 
 
