@@ -23,7 +23,8 @@ set in the same order. k-truss children are recomputed with the model's
 ``maximal``. Every state's P2 candidates and P3 bound are walks of one
 order of the root by f.
 
-Counters for explored states per pruning configuration feed Table IV.
+Counters for explored states per ablation level (``prunings``, the number
+of P1, P2, P3 applied, in that order) feed Table IV.
 """
 from __future__ import annotations
 
@@ -80,16 +81,16 @@ def exact_cs(
     gamma: float = DEFAULT_GAMMA,
     stats: Optional[NormStats] = None,
     model: str = "core",
-    prune_duplicate: bool = True,
-    prune_unnecessary: bool = True,
-    prune_unpromising: bool = True,
+    prunings: int = 3,
     max_states: Optional[int] = None,
 ) -> ExactResult:
     """Algorithm 1 over the maximal connected k-core (or k-truss) of q.
 
-    f(·,q) is computed for the root community's nodes. With every pruning
-    disabled this is the raw exponential enumeration — cap it with
-    ``max_states`` (the result is then best-so-far with ``capped=True``).
+    f(·,q) is computed for the root community's nodes. ``prunings`` is
+    Table IV's ablation level: the first ``prunings`` of P1, P2, P3 are
+    applied (3 is every pruning, 0 none). With none this is the raw
+    exponential enumeration — cap it with ``max_states`` (the result is
+    then best-so-far with ``capped=True``).
 
     ``stats`` should be ``norm_stats_local(g)``, computed once per graph
     and passed to every query: it carries g's normalised attribute matrix,
@@ -97,6 +98,9 @@ def exact_cs(
     every query.
     """
     check_query(g, q, k)
+    if prunings not in range(4):
+        raise ValueError(f"prunings must be 0, 1, 2 or 3, got {prunings!r}")
+    prune_duplicate, prune_unnecessary, prune_unpromising = (prunings > i for i in range(3))
     t0 = time.perf_counter()
     cm = community_model(model)
     root = cm.maximal(g, q, k)

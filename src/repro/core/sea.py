@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.local import LocalGraph, community_model
+from repro.graphs.local import LocalGraph, check_query, community_model
 from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
@@ -209,8 +209,7 @@ def sea_search(
     and with ``stats=None`` that matrix is rebuilt over all |V| nodes on
     every query.
     """
-    if q not in g.adj:
-        raise ValueError(f"query node {q} is not in the graph")
+    check_query(g, q, params.k)
     t0 = time.perf_counter()
     min_gq = _min_gq(g.num_nodes, params)
     if stats is None:

@@ -2,11 +2,12 @@
 
 The paper evaluates 200 random queries per dataset; we default to a
 handful of seeded queries (DESIGN.md §3) — every harness takes
-``n_queries``. Homogeneous queries are community members whose coreness
-supports the requested k (following [22]'s random-query protocol but
-restricted to feasible queries); heterogeneous queries are target-typed
-nodes of the meta-path projection (following [7], with each dataset's
-canonical meta-path standing in for the top-frequency ones).
+``n_queries``. Queries are planted-community members in the k-core
+of the graph the methods run on (following [22]'s random-query protocol
+but restricted to feasible queries); on a heterogeneous dataset that
+graph is the meta-path projection, whose nodes are the target-typed
+ones (following [7], with each dataset's canonical meta-path standing in
+for the top-frequency ones).
 
 Each method computes f(·,q) for the nodes it reads, inside its timer; δ
 of a returned community comes from f over its members only.
@@ -23,7 +24,7 @@ from repro.baselines import acq_search, evac_search, locatc_search, vac_search
 from repro.core import SEAParams, exact_cs, sea_search
 from repro.graphs.datasets import load
 from repro.graphs.generator import GeneratedGraph
-from repro.graphs.local import LocalGraph, core_decomposition
+from repro.graphs.local import LocalGraph, kcore_nodes
 from repro.hetero import metapath_project_local
 from repro.metrics import NormStats, composite_distances_local, delta, norm_stats_local
 
@@ -58,12 +59,10 @@ def prepare(name: str) -> PreparedDataset:
 
 
 def pick_queries(prep: PreparedDataset, k: int, n_queries: int, seed: int = 0) -> List[int]:
-    """Seeded random community members whose coreness (in the query
-    graph) supports k — mirroring the paper's random-query protocol."""
-    cor = core_decomposition(prep.graph)
-    eligible = sorted(
-        v for v in prep.gen.communities if cor.get(v, 0) >= k
-    )
+    """Seeded random community members in the k-core of the query graph
+    — mirroring the paper's random-query protocol."""
+    core = kcore_nodes(prep.graph, k)
+    eligible = sorted(v for v in prep.gen.communities if v in core)
     if not eligible:
         raise RuntimeError(f"{prep.name}: no node with coreness >= {k}")
     rng = np.random.default_rng(seed)

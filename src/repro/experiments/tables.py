@@ -60,7 +60,7 @@ def table1(datasets: Sequence[str] = tuple(TABLE1_DATASETS)) -> Tuple[List[Dict]
     """Table I: #Nodes, #Edges, #N/E-types, d_max/avg, k_max/avg.
 
     Counts and degrees come from the driver-side graph; coreness is the
-    Batagelj–Zaveršnik pass (O(|E|)).
+    Batagelj–Zaveršnik peel (O(|E| + k_max·|V|)).
     """
     rows = []
     for name in datasets:
@@ -222,11 +222,12 @@ def table3(k: int = 5, n_queries: int = 5, e: float = 0.10, seed: int = 3) -> Tu
 # ---------------------------------------------------------------------------
 
 TABLE4_DATASETS = ["facebook", "github", "twitch", "livejournal"]
+# (label, how many of P1, P2, P3 Exact applies)
 TABLE4_CONFIGS = [
-    ("Exact", dict(prune_duplicate=True, prune_unnecessary=True, prune_unpromising=True)),
-    ("Exact\\P3", dict(prune_duplicate=True, prune_unnecessary=True, prune_unpromising=False)),
-    ("Exact\\P3+P2", dict(prune_duplicate=True, prune_unnecessary=False, prune_unpromising=False)),
-    ("Exact w/o P", dict(prune_duplicate=False, prune_unnecessary=False, prune_unpromising=False)),
+    ("Exact", 3),
+    ("Exact\\P3", 2),
+    ("Exact\\P3+P2", 1),
+    ("Exact w/o P", 0),
 ]
 
 
@@ -244,12 +245,12 @@ def table4(
         prep = prepare(name)
         queries = pick_queries(prep, k, n_queries, seed)
         row: Dict[str, object] = {"Dataset": name}
-        for label, toggles in TABLE4_CONFIGS:
+        for label, prunings in TABLE4_CONFIGS:
             total_t, total_s, capped = 0.0, 0, False
             for q in queries:
                 r = exact_cs(
                     prep.graph, q, k, gamma=prep.gamma, stats=prep.stats,
-                    max_states=cap, **toggles,
+                    prunings=prunings, max_states=cap,
                 )
                 total_t += r.elapsed_s
                 total_s += r.states

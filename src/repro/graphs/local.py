@@ -12,7 +12,9 @@ against ``networkx``. :func:`community_model` is the one place that maps
 a model name ("core", "truss") to its algorithms; every peel step is its
 ``maximal(g, q, k, within=state - {v})``, except Exact's k-core step,
 which carries the state's degrees into :func:`kcore_cascade`, the one
-k-core peel loop, which :func:`kcore_nodes` also runs.
+k-core peel loop. :func:`kcore_nodes` runs it once from the nodes of
+degree below k, and :func:`core_decomposition` runs it in rounds
+k = 1, 2, … over one shared node set.
 """
 from __future__ import annotations
 
@@ -78,38 +80,22 @@ class LocalGraph:
 
 
 def core_decomposition(g: LocalGraph) -> Dict[int, int]:
-    """Batagelj–Zaveršnik peeling: coreness (core number) of every node.
+    """Coreness (core number) of every node, by Batagelj–Zaveršnik peeling.
 
-    O(|E|) using bucket sort on degrees.
+    Rounds k = 1, 2, … share one node set and one degree dict: round k
+    runs :func:`kcore_cascade` from the members whose degree is below k,
+    which leaves the k-core, and every node it deletes has coreness k − 1.
+    O(|E| + k_max·|V|): each edge is decremented once, and each round
+    scans the nodes still left.
     """
+    nodes = set(g.adj)
     deg = {v: len(nbrs) for v, nbrs in g.adj.items()}
-    if not deg:
-        return {}
-    max_deg = max(deg.values())
-    buckets: List[Set[int]] = [set() for _ in range(max_deg + 1)]
-    for v, d in deg.items():
-        buckets[d].add(v)
     coreness: Dict[int, int] = {}
-    removed: Set[int] = set()
-    cur = 0
-    for _ in range(len(deg)):
-        while cur <= max_deg and not buckets[cur]:
-            cur += 1
-        if cur > max_deg:
-            break
-        v = buckets[cur].pop()
-        coreness[v] = cur
-        removed.add(v)
-        for u in g.adj[v]:
-            if u in removed:
-                continue
-            d = deg[u]
-            if d > cur:
-                buckets[d].discard(u)
-                deg[u] = d - 1
-                buckets[d - 1].add(u)
-        # deg[u] can drop below cur only transiently; bucket index is
-        # clamped by the `d > cur` guard above, so cur never decreases.
+    k = 0
+    while nodes:
+        k += 1
+        for v in kcore_cascade(g, k, nodes, deg, [v for v in nodes if deg[v] < k]):
+            coreness[v] = k - 1
     return coreness
 
 

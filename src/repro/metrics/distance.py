@@ -145,8 +145,9 @@ def delta(fvals: Dict[int, float], community: Set[int], q: int) -> float:
 
     Definition 4. A community of just {q} has no other member; define δ=0.
     """
-    members = [v for v in community if v != q]
-    if not members:
+    vals = [fvals[v] for v in community if v != q]
+    if not vals:
         return 0.0
-    return float(np.mean([fvals[v] for v in members]))
+    # np.mean's own sum and division, without its per-call overhead
+    return float(np.add.reduce(np.array(vals)) / len(vals))
 

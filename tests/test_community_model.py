@@ -68,10 +68,7 @@ def test_deep_searches_leave_recursion_limit_alone(monkeypatch):
     calls = []
     monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
     g = clique(250)
-    r = exact_cs(
-        g, 0, 4, prune_duplicate=False, prune_unnecessary=False,
-        prune_unpromising=False, max_states=100,
-    )
+    r = exact_cs(g, 0, 4, prunings=0, max_states=100)
     assert r.capped and r.states == 100
     e = evac_search(g, 0, 4, max_states=1)  # each state scans 31k pairs
     assert e.capped and e.states == 1

@@ -80,10 +80,10 @@ class TestOptimalityVsBruteForce:
             assert r.delta == pytest.approx(bf_d)
 
     @pytest.mark.parametrize("toggles", [
-        dict(prune_duplicate=False, prune_unnecessary=False, prune_unpromising=False),
-        dict(prune_duplicate=True, prune_unnecessary=False, prune_unpromising=False),
-        dict(prune_duplicate=True, prune_unnecessary=True, prune_unpromising=False),
-        dict(prune_duplicate=True, prune_unnecessary=True, prune_unpromising=True),
+        dict(prunings=0),
+        dict(prunings=1),
+        dict(prunings=2),
+        dict(prunings=3),
     ])
     def test_every_pruning_config_is_exact(self, toggles):
         g = random_attr_graph(9, 0.6, seed=33)
@@ -100,9 +100,8 @@ class TestPruningEffect:
         g = random_attr_graph(11, 0.6, seed=4)
         if maximal_connected_kcore(g, 0, 3) == set():
             pytest.skip("no community")
-        none = exact_cs(g, 0, 3, prune_duplicate=False, prune_unnecessary=False,
-                        prune_unpromising=False, max_states=200_000)
-        p1 = exact_cs(g, 0, 3, prune_unnecessary=False, prune_unpromising=False)
+        none = exact_cs(g, 0, 3, prunings=0, max_states=200_000)
+        p1 = exact_cs(g, 0, 3, prunings=1)
         full = exact_cs(g, 0, 3)
         assert full.states <= p1.states
         assert p1.states <= none.states or none.capped
@@ -117,8 +116,7 @@ class TestPruningEffect:
 
     def test_max_states_caps(self):
         g = random_attr_graph(13, 0.7, seed=6)
-        r = exact_cs(g, 0, 3, prune_duplicate=False, prune_unnecessary=False,
-                     prune_unpromising=False, max_states=50)
+        r = exact_cs(g, 0, 3, prunings=0, max_states=50)
         assert r.capped
         assert r.states <= 51
 
@@ -198,8 +196,8 @@ def test_table4_configs_pinned():
     prep = prepare("facebook")
     (q,) = pick_queries(prep, 4, 1, seed=3)
     got = {}
-    for label, toggles in TABLE4_CONFIGS:
+    for label, prunings in TABLE4_CONFIGS:
         r = exact_cs(prep.graph, q, 4, gamma=prep.gamma, stats=prep.stats,
-                     max_states=60_000, **toggles)
+                     prunings=prunings, max_states=60_000)
         got[label] = (r.states, r.pruned_duplicate, r.pruned_unpromising, r.capped)
     assert got == TABLE4_CONFIG_COUNTS

@@ -7,7 +7,9 @@ inside a loop (``e=-1``, ``alpha=0``, an unknown model after the G_q
 BFS); a query node that is not in the graph would raise ``KeyError``
 from the distance pass (SEA) or return no community (Exact, VAC, E-VAC,
 ACQ, LocATC, Spark SEA), and ``k=0`` makes Exact enumerate q's whole
-component and LocATC return a community.
+component and LocATC return a community. Exact's ablation level
+``prunings`` names how many of P1, P2, P3 apply, so only 0–3 mean
+anything.
 """
 import pytest
 
@@ -54,6 +56,11 @@ CASES = [
 ] + [
     pytest.param(lambda g, f=f: f(g, 0, 0), "got 0", id=f"{f.__name__}-k0")
     for f in (exact_cs, vac_search, evac_search)
+] + [
+    pytest.param(
+        lambda g, p=p: exact_cs(g, 0, 4, prunings=p), "prunings", id=f"exact_cs-prunings{p}"
+    )
+    for p in (-1, 4)
 ] + [
     pytest.param(lambda g, f=f: f(g, MISSING, 4), str(MISSING), id=f"{f.__name__}-missing-q")
     for f in (acq_search, locatc_search)

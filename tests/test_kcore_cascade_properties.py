@@ -1,20 +1,48 @@
-"""Property tests: the carried k-core peel step that Exact takes.
+"""Property tests: the k-core peel loop ``kcore_cascade`` and its callers.
 
-A state is a maximal connected k-core of q carrying its within-state
+Core decomposition peels in rounds of the cascade, and ``kcore_nodes``
+in one; on random graphs both agree with networkx's core numbers.
+
+Exact's carried step: a state is a maximal connected k-core of q carrying its within-state
 degrees. Deleting v with ``kcore_cascade`` and taking q's component of
 what is left gives the set that ``maximal_connected_kcore`` recomputes
 from scratch, in the same iteration order; the deleted and cut-off nodes
 are the state's lost nodes, and the carried degrees are the fresh ones.
 """
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.local import (
     LocalGraph,
     connected_component,
+    core_decomposition,
     kcore_cascade,
+    kcore_nodes,
     maximal_connected_kcore,
 )
+
+
+@st.composite
+def graphs(draw):
+    """Up to 30 nodes, some isolated, with any edges (the empty graph too)."""
+    ids = draw(st.lists(st.integers(0, 300), max_size=30, unique=True))
+    if not ids:
+        return LocalGraph.from_edges([])
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    return LocalGraph.from_edges(draw(st.lists(pair, max_size=120)), nodes=ids)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs())
+def test_coreness_matches_networkx_and_kcore_nodes(g):
+    G = nx.Graph()
+    G.add_nodes_from(g.adj)
+    G.add_edges_from((v, u) for v in g.adj for u in g.adj[v])
+    cor = core_decomposition(g)
+    assert cor == nx.core_number(G)
+    for k in range(max(cor.values(), default=0) + 2):
+        assert kcore_nodes(g, k) == {v for v, c in cor.items() if c >= k}
 
 
 @st.composite

@@ -5,6 +5,8 @@ defaults: ``jobs/tables.py`` prints them, ``benchmarks/test_bench_tables.py``
 times them into ``benchmarks/tables_output.txt``, and EXPERIMENTS.md
 discusses them.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,21 @@ class TestHarness:
         for q in pick_queries(prep, 5, 4, 0):
             assert q in prep.gen.communities
 
+    @pytest.mark.parametrize("name, seed, n, want", [
+        # the facebook stand-in perfbench's fb-methods runs, at its k and seeds
+        ("facebook", 1, 16, [504, 81, 187, 166, 568, 572, 447, 495,
+                             19, 249, 152, 245, 274, 300, 143, 525]),
+        ("facebook", 2, 16, [364, 496, 609, 51, 494, 539, 439, 487,
+                             148, 111, 266, 179, 30, 59, 242, 199]),
+        ("facebook", 3, 16, [162, 379, 52, 286, 102, 520, 353, 135,
+                             199, 21, 103, 479, 46, 480, 93, 258]),
+        # Table V's queries, drawn from the k-core of a meta-path projection
+        ("imdb", 0, 5, [520, 421, 221, 262, 681]),
+        ("dbpedia", 0, 5, [197, 156, 83, 93, 267]),
+    ], ids=["facebook-s1", "facebook-s2", "facebook-s3", "imdb-s0", "dbpedia-s0"])
+    def test_pick_queries_pinned(self, name, seed, n, want):
+        assert pick_queries(prepare(name), 4, n, seed) == want
+
     def test_relative_error(self):
         assert relative_error(0.11, 0.10) == pytest.approx(0.1)
         assert relative_error(None, 0.1) is None
@@ -87,6 +104,14 @@ class TestTable1:
         rows, _ = t1
         out = format_rows(rows)
         assert "facebook" in out and "k_max" in out
+
+    def test_rows_match_recorded_table(self, t1):
+        """Every cell equals Table I as recorded in
+        ``benchmarks/tables_output.txt`` (k_max and k_avg included)."""
+        recorded = Path(__file__).parents[1] / "benchmarks" / "tables_output.txt"
+        title, *table = recorded.read_text().strip().split("\n\n")[0].splitlines()
+        assert title.startswith("Table I ")
+        assert format_rows(t1[0]) == "\n".join(table)
 
 
 class TestTable2:
