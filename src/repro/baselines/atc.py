@@ -35,10 +35,10 @@ def locatc_search(
     improved = True
     while improved and len(comm) > cm.min_size(k):
         improved = False
-        # examine members that share the fewest attributes with q first
+        # examine members sharing the fewest attributes with q first, then by id
         order = sorted(
             (v for v in comm if v != q),
-            key=lambda v: len(qt & g.tattrs.get(v, frozenset())),
+            key=lambda v: (len(qt & g.tattrs.get(v, frozenset())), v),
         )
         for v in order[:_TRIES_PER_STEP]:
             cand = cm.maximal(g, q, k, within=comm - {v})

@@ -8,7 +8,7 @@ from .estimation import (
     moe_threshold,
     z_value,
 )
-from .exact import ExactResult, brute_force_cs, exact_cs
+from .exact import ExactResult, exact_cs
 from .hoeffding import min_neighborhood_size, min_possible_worlds
 from .sea import SEAParams, SEAResult, SEARound, sea_search, sea_search_spark
 
@@ -21,7 +21,6 @@ __all__ = [
     "SEARound",
     "accuracy_guaranteed",
     "blb_estimate",
-    "brute_force_cs",
     "exact_cs",
     "incremental_sample_size",
     "min_neighborhood_size",

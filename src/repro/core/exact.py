@@ -186,36 +186,3 @@ def exact_cs(
         capped=capped,
     )
 
-
-def brute_force_cs(
-    g: LocalGraph,
-    q: int,
-    k: int,
-    gamma: float = DEFAULT_GAMMA,
-    stats: Optional[NormStats] = None,
-    model: str = "core",
-) -> Tuple[Optional[Set[int]], float]:
-    """Reference oracle: try *every* subset of the root community.
-
-    Exponential — only usable for |root| ≤ ~16 in tests, where it
-    certifies that the pruned enumeration still finds the optimum.
-    """
-    from itertools import combinations
-
-    maximal = community_model(model).maximal
-    root = maximal(g, q, k)
-    if not root:
-        return None, INF
-    fvals = composite_distances_local(g, q, gamma, stats, nodes=root)
-    others = sorted(root - {q})
-    best_c, best_d = None, INF
-    for r in range(len(others) + 1):
-        for comb in combinations(others, r):
-            cand = set(comb) | {q}
-            if len(cand) < 2:
-                continue
-            if maximal(g, q, k, within=cand) == cand:
-                d = delta(fvals, cand, q)
-                if d < best_d:
-                    best_c, best_d = cand, d
-    return best_c, best_d

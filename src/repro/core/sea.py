@@ -26,6 +26,9 @@ Both front ends evaluate f(·,q) with the one f,
 ``composite_distances_local``, and only for the nodes their BFS reaches:
 :func:`sea_search` computes it lazily as its best-first BFS grows G_q,
 :func:`sea_search_spark` for the node rows of each new BFS layer.
+
+BLB reads the candidate's f values sorted, δ is an exactly rounded mean
+and f ties break by id, so no set or edge order reaches an answer.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from repro.metrics.distance import (
     DEFAULT_GAMMA,
     NormStats,
     composite_distances_local,
+    delta,
     norm_stats_local,
 )
 
@@ -264,32 +268,31 @@ def _sample_estimate_loop(
         # ---- greedy candidate search (§V-B): peel the most dissimilar
         # node state by state, keep the δ*-minimising valid candidate ----
         n_cands = 0
-        state = set(candidate)
+        state = candidate
         cand_best: Optional[Set[int]] = None
         cand_delta = float("inf")
         while state:
             if lo <= len(state) <= hi:
                 n_cands += 1
-                vals = [fvals[v] for v in state if v != q]
-                d = sum(vals) / len(vals) if vals else 0.0
+                d = delta(fvals, state, q)
                 if d < cand_delta:
-                    cand_best, cand_delta = set(state), d
+                    cand_best, cand_delta = state, d
             if len(state) <= lo:
                 break  # peeling further cannot yield a valid community
-            worst = max((v for v in state if v != q), key=lambda v: fvals[v])
+            # ties on f go to the lowest id, as in Exact's priority order
+            worst = max((v for v in state if v != q), key=lambda v: (fvals[v], -v))
             state = model.maximal(g, q, params.k, within=state - {worst})
         # ---- BLB estimation with the Theorem-11 acceptance test ----
         est: Optional[BLBEstimate] = None
         if cand_best is not None:
+            # the f values as a multiset: no set order or id reaches BLB
             est = blb_estimate(
-                [fvals[v] for v in cand_best if v != q],
+                sorted(fvals[v] for v in cand_best if v != q),
                 params.alpha, params.blb, seed=params.seed + rnd,
             )
-            if best is None or est.delta_star < best.delta_star:
-                best, best_comm = est, set(cand_best)
-            if accuracy_guaranteed(est, params.e):
-                satisfied = True
-                best, best_comm = est, set(cand_best)
+            satisfied = accuracy_guaranteed(est, params.e)
+            if satisfied or best is None or est.delta_star < best.delta_star:
+                best, best_comm = est, cand_best
         t_s2 += time.perf_counter() - t_round
         # ---- error-based incremental sampling (§V-C, Eq. 12) ----
         t_inc = time.perf_counter()

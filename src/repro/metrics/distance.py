@@ -41,6 +41,7 @@ should be queried with γ=1 (γ=0).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -146,8 +147,6 @@ def delta(fvals: Dict[int, float], community: Set[int], q: int) -> float:
     Definition 4. A community of just {q} has no other member; define δ=0.
     """
     vals = [fvals[v] for v in community if v != q]
-    if not vals:
-        return 0.0
-    # np.mean's own sum and division, without its per-call overhead
-    return float(np.add.reduce(np.array(vals)) / len(vals))
+    # an exactly rounded sum, so the set's iteration order cannot move δ
+    return math.fsum(vals) / len(vals) if vals else 0.0
 

@@ -15,7 +15,8 @@ frontier's own rows, collected a layer earlier, list. The driver computes
 f(·,q) for those rows with
 :func:`repro.metrics.distance.composite_distances_local`, the one f, so
 f is evaluated only for the nodes the BFS reaches and equals the local
-front end's f bit for bit. G_q's rows list G_q's edges.
+front end's f bit for bit. G_q's rows list G_q's edges, which are
+returned in no particular order: SEA's answer does not depend on it.
 """
 from typing import Dict, List, Tuple
 
@@ -60,9 +61,9 @@ def prioritized_neighborhood(
     if not nbrs:
         return {}, []
     visited = composite_distances_local(rows, q, gamma, stats, nodes=[q])
-    layers = [[q]]  # G_q's BFS layers; the last is the frontier
+    frontier = [q]
     while len(visited) < min_size:
-        new = {u for v in layers[-1] for u in nbrs[v]} - visited.keys()
+        new = {u for v in frontier for u in nbrs[v]} - visited.keys()
         if not new:
             break  # q's component is exhausted
         # one SQL expression: ``isin`` makes one py4j call per id
@@ -74,12 +75,6 @@ def prioritized_neighborhood(
         layer = sorted((fv, v) for v, fv in f.items())
         layer = layer[: min_size - len(visited)]
         visited.update((v, fv) for fv, v in layer)
-        layers.append([v for _, v in layer])
-    # G_q's edges in the order a layer-by-layer read of a canonical (v < u)
-    # edge list in ascending v meets them: by the earlier layer of their
-    # ends, then by v, then in v's neighbour-list order. The adjacency
-    # order of the caller's G_q, which sampling sees, follows this order
-    hop = {v: i for i, ids in enumerate(layers) for v in ids}
-    edges = [(v, u) for v in sorted(visited) for u in nbrs[v] if v < u and u in visited]
-    edges.sort(key=lambda e: min(hop[e[0]], hop[e[1]]))
+        frontier = [v for _, v in layer]
+    edges = [(v, u) for v in visited for u in nbrs[v] if v < u and u in visited]
     return visited, edges

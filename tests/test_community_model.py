@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import acq_search, evac_search, locatc_search, vac_search
-from repro.core import SEAParams, brute_force_cs, exact_cs, sea_search
+from repro.core import SEAParams, exact_cs, sea_search
 from repro.graphs import (
     LocalGraph,
     community_model,
     maximal_connected_kcore,
     maximal_connected_ktruss,
 )
+
+from .oracle import brute_force_cs
 
 
 def clique(n, seed=0):

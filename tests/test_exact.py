@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.core.exact import ExactResult, brute_force_cs, exact_cs
+from repro.core.exact import ExactResult, exact_cs
+
+from .oracle import brute_force_cs
 from repro.graphs import LocalGraph, maximal_connected_kcore, maximal_connected_ktruss
 from repro.graphs.generator import planted_homogeneous
 from repro.metrics import composite_distances_local, delta, norm_stats_local

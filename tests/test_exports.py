@@ -1,5 +1,6 @@
 """Every module of ``repro`` imports, every name in its ``__all__`` exists,
-and the local packages do not load pyspark."""
+the local packages do not load pyspark, and no module loads the test
+oracles' DuckDB or pandas."""
 import importlib
 import os
 import pkgutil
@@ -34,6 +35,25 @@ def test_local_packages_do_not_load_pyspark():
         "repro.experiments, repro.hetero\n"
         "assert 'pyspark' not in sys.modules, 'pyspark was loaded'\n"
         "from repro.graphs import AttributedGraph\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_library_does_not_load_oracle_dependencies():
+    """DuckDB and pandas serve only the test oracles (``tests/oracle.py``):
+    a fresh interpreter that imports every ``repro`` module has loaded
+    neither."""
+    code = (
+        "import importlib, sys\n"
+        f"for name in {MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "loaded = [m for m in ('duckdb', 'pandas') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -22,7 +22,7 @@ from repro.metrics import (
     vac_minmax,
     worst_pair,
 )
-from repro.oracle import assert_equivalent
+from .oracle import assert_equivalent
 
 
 class TestJaccard:

@@ -253,40 +253,39 @@ class TestSEASpark:
 
 # SEAResult of sea_search on the facebook stand-in, k=4, seed=q: (sorted
 # community, δ*, MoE, satisfied, |G_q|, min |G_q|, and per round
-# (round, δ*, MoE, ΔS, |S|, #candidates)). The set copies in the
-# estimate loop fix the order in which BLB reads the community's f
-# values; a copy that is dropped moves δ* and MoE in the last bits here.
+# (round, δ*, MoE, ΔS, |S|, #candidates)). BLB reads the candidate's f
+# values sorted by value, so these hold for any edge-insertion order of the
+# same graph (tests/test_invariance.py).
 SEA_FACEBOOK_PINNED = {
     ("core", 324): (
         [309, 324, 329, 423, 474, 491, 508],
-        0.23148130783647866, 0.007361736791022685, True, 365, 365,
-        [(1, 0.23148130783647866, 0.007361736791022685, 0, 292, 12)],
+        0.23148130783647866, 0.009601270156351014, True, 365, 365,
+        [(1, 0.23148130783647866, 0.009601270156351014, 0, 292, 12)],
     ),
     ("core", 198): (
         [22, 197, 198, 301, 312, 356, 392],
-        0.3302629704479852, 0.010807688086629182, True, 365, 365,
-        [(1, 0.3302629704479852, 0.010807688086629182, 0, 146, 2)],
+        0.33026297044798525, 0.01318458125426946, True, 365, 365,
+        [(1, 0.33026297044798525, 0.01318458125426946, 0, 146, 2)],
     ),
     ("truss", 324): (
         [270, 324, 474, 491, 508],
-        0.23621833478538465, 0.01982697384700535, True, 358, 358,
+        0.23621833478538462, 0.02107251043506031, True, 358, 358,
         [
             (1, 0.23760514698059168, 0.027070151806720087, 2, 142, 3),
             (2, 0.23760514698059168, 0.02706512210901616, 2, 163, 3),
-            (3, 0.23621833478538465, 0.02232238565224099, 1, 182, 4),
-            (4, 0.23621833478538465, 0.02164519590462313, 1, 199, 4),
-            (5, 0.23621833478538465, 0.01982697384700535, 0, 214, 5),
+            (3, 0.23621833478538462, 0.021533516905313507, 1, 182, 4),
+            (4, 0.23621833478538462, 0.02107251043506031, 0, 199, 4),
         ],
     ),
     ("truss", 15): (
         [1, 15, 33, 145, 147, 174, 175, 223, 315, 394, 399, 421, 473, 529, 545, 549],
-        0.2994479979425933, 0.05539290029414239, False, 358, 358,
+        0.29944799794259325, 0.04827619139371371, False, 358, 358,
         [
-            (1, 0.2994479979425933, 0.05539290029414239, 24, 288, 2),
-            (2, 0.30076401062251445, 0.04956689897050473, 19, 312, 2),
-            (3, 0.30076401062251445, 0.04585678372004487, 15, 331, 2),
-            (4, 0.30076401062251445, 0.05474077574349981, 23, 346, 3),
-            (5, 0.30076401062251445, 0.05285041025834116, 22, 358, 3),
+            (1, 0.29944799794259325, 0.04827619139371371, 18, 288, 2),
+            (2, 0.30076401062251445, 0.044286323528015384, 14, 306, 2),
+            (3, 0.30076401062251445, 0.04254578935404039, 12, 320, 2),
+            (4, 0.30076401062251445, 0.05316543415832441, 22, 332, 2),
+            (5, 0.30076401062251445, 0.05416370062794745, 23, 354, 3),
         ],
     ),
 }

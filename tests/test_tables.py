@@ -3,18 +3,24 @@
 Kept cheap (1–3 queries). The recorded runs use each ``tableN``'s
 defaults: ``jobs/tables.py`` prints them, ``benchmarks/test_bench_tables.py``
 times them into ``benchmarks/tables_output.txt``, and EXPERIMENTS.md
-discusses them.
+discusses them. Each table's ``test_recorded_cells_match`` reruns the
+recorded workload and compares every non-timing cell with that file (Table
+IV only its two uncapped #states columns), so an answer that moves shows up
+as a named cell.
 """
+import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import exact_cs
 from repro.experiments import (
     format_rows,
     pick_queries,
     prepare,
     relative_error,
+    run_table,
     table1,
     table2,
     table3,
@@ -22,6 +28,38 @@ from repro.experiments import (
     table5,
     table6,
 )
+from repro.experiments.tables import TABLE4_CONFIGS
+
+RECORDED = Path(__file__).parents[1] / "benchmarks" / "tables_output.txt"
+# columns of wall times, which differ from run to run
+TIMING = ("Time(ms)", "time(s)")
+
+
+def parse_table(text):
+    """A table as printed by ``run_table``: its title line (with the
+    workload) and one ``{column: cell}`` dict per row, timing cells dropped."""
+    title, header, _, *body = text.strip().splitlines()
+    cols = [c.strip() for c in header.split(" | ")]
+    rows = [dict(zip(cols, (c.strip() for c in line.split(" | ")))) for line in body]
+    return title, [{c: v for c, v in r.items() if not c.endswith(TIMING)} for r in rows]
+
+
+def recorded_table(number):
+    return parse_table(RECORDED.read_text().strip().split("\n\n")[number - 1])
+
+
+def assert_recorded_cells(number):
+    """Table ``number`` at its recorded workload has the recorded title and
+    non-timing cells; a failure lists each moved (row, column, recorded, got)."""
+    want_title, want = recorded_table(number)
+    got_title, got = parse_table(run_table(number)[1])
+    assert got_title == want_title
+    assert len(got) == len(want)
+    moved = [
+        (i, c, w[c], g.get(c))
+        for i, (w, g) in enumerate(zip(want, got)) for c in w if g.get(c) != w[c]
+    ]
+    assert not moved, moved
 
 
 class TestHarness:
@@ -154,6 +192,9 @@ class TestTable2:
         ]["delta (Ours)"]
         assert 0 <= rel < 0.25
 
+    def test_recorded_cells_match(self):
+        assert_recorded_cells(2)
+
 
 class TestTable3:
     @pytest.fixture(scope="class")
@@ -181,6 +222,9 @@ class TestTable3:
             for k, v in r.items():
                 if k != "Method" and v is not None:
                     assert 0.0 <= v <= 1.0
+
+    def test_recorded_cells_match(self):
+        assert_recorded_cells(3)
 
 
 class TestTable4:
@@ -211,6 +255,23 @@ class TestTable4:
                 str(r["Exact #states"]).lstrip(">")
             )
         assert worst == len(rows)
+
+    def test_recorded_exact_states_match(self):
+        """The Exact and Exact\\P3 #states cells of every dataset equal the
+        recorded ones. The capped columns take ~15 s and stay unpinned."""
+        title, want = recorded_table(4)
+        meta = ast.literal_eval(title[title.index("({") + 1 : -1])
+        for row in want:
+            prep = prepare(row["Dataset"])
+            queries = pick_queries(prep, meta["k"], meta["n_queries"], meta["seed"])
+            for label, prunings in TABLE4_CONFIGS[:2]:
+                runs = [
+                    exact_cs(prep.graph, q, meta["k"], gamma=prep.gamma, stats=prep.stats,
+                             prunings=prunings, max_states=meta["cap"])
+                    for q in queries
+                ]
+                got = ">" * any(r.capped for r in runs) + str(sum(r.states for r in runs))
+                assert got == row[f"{label} #states"], (row["Dataset"], label)
 
 
 class TestTable5:
@@ -244,6 +305,9 @@ class TestTable5:
         labels = [r["Method"] for r in rows]
         assert "SEA-Truss" in labels and "VAC-Truss" in labels
 
+    def test_recorded_cells_match(self):
+        assert_recorded_cells(5)
+
 
 class TestTable6:
     @pytest.fixture(scope="class")
@@ -272,3 +336,6 @@ class TestTable6:
     def test_gt_recorded(self, t6):
         _, meta = t6
         assert meta["gt_delta"] > 0
+
+    def test_recorded_cells_match(self):
+        assert_recorded_cells(6)
