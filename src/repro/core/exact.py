@@ -15,13 +15,18 @@ prunings cut:
   ``δ̲`` (mean of the k smallest f in the state) reaches the best δ so far
   (Theorem 6, Eqs. 3–4).
 
-A k-core state carries its within-state degrees. A child copies them,
-deletes one node and cascades the peel from it (``kcore_cascade``); P1 is
-decided on the cascade, and only a child that survives it pays for the
-BFS to q's component, the one ``maximal`` would run, so it is the same
-set in the same order. k-truss children are recomputed with the model's
-``maximal``. Every state's P2 candidates and P3 bound are walks of one
-order of the root by f.
+Every generated child counts as a state. P1 rejects a child whose
+deleted node v itself has ``f(v,q) > f(u,q)`` before building it, on
+either model. A k-core state carries its within-state degrees. A child
+copies them, deletes v and cascades the peel from it (``kcore_cascade``);
+P1 is then decided on the cascade. Only a child that survives both pays
+for the BFS from q, and that BFS stops once it has reached every
+surviving neighbour of the deleted nodes: the state was connected, so
+what is left is too. Only a real cut runs the BFS to the end, and P1
+reads the nodes it cut off. The child is the set ``maximal`` would
+return, though it may iterate in another order. k-truss children are
+recomputed with the model's ``maximal``. Every state's P2 candidates and
+P3 bound are walks of one order of the root by f.
 
 Counters for explored states per ablation level (``prunings``, the number
 of P1, P2, P3 applied, in that order) feed Table IV.
@@ -149,6 +154,9 @@ def exact_cs(
             capped = True
             break
         states += 1
+        if prune_duplicate and fvals[v] > f_u:
+            dup += 1
+            continue  # Theorem 4 on v alone: v is farther than u
         if core:
             # delete v and cascade the peel from its neighbours (P1 first:
             # a dropped node farther than u makes the state a duplicate)
@@ -159,7 +167,10 @@ def exact_cs(
             if prune_duplicate and any(fvals[u] > f_u for u in lost):
                 dup += 1
                 continue  # Theorem 4: duplicates an earlier state
-            new_state = connected_component(g, q, alive)
+            # the state was connected, so alive is too once q reaches every
+            # surviving neighbour of the deleted nodes
+            border = alive.intersection(set().union(*(g.adj[u] for u in lost)))
+            new_state = connected_component(g, q, alive, reach=border)
             # P1 also reads the nodes the BFS cut off from q
             lost = alive - new_state if len(new_state) < len(alive) else ()
         else:

@@ -14,7 +14,9 @@ a model name ("core", "truss") to its algorithms; every peel step is its
 which carries the state's degrees into :func:`kcore_cascade`, the one
 k-core peel loop. :func:`kcore_nodes` runs it once from the nodes of
 degree below k, and :func:`core_decomposition` runs it in rounds
-k = 1, 2, … over one shared node set.
+k = 1, 2, … over one shared node set. :func:`connected_component` is the
+one BFS; Exact's step stops it once q has reached every surviving
+neighbour of the deleted nodes.
 """
 from __future__ import annotations
 
@@ -142,12 +144,26 @@ def kcore_cascade(
 
 
 def connected_component(
-    g: LocalGraph, q: int, within: Optional[Set[int]] = None
+    g: LocalGraph,
+    q: int,
+    within: Optional[Set[int]] = None,
+    reach: Optional[Set[int]] = None,
 ) -> Set[int]:
-    """BFS component of ``q`` restricted to ``within`` (or all nodes)."""
+    """BFS component of ``q`` restricted to ``within`` (or all nodes).
+
+    With ``reach``, the caller promises that every node of ``within`` is
+    joined inside ``within`` to q or to a node of ``reach`` — for example,
+    ``within`` is a connected set less some deleted nodes, and ``reach``
+    holds the deleted nodes' surviving neighbours. The BFS then stops as
+    soon as it has seen all of ``reach`` and returns ``within`` itself,
+    which is connected; only a real cut runs it to the end.
+    """
     nodes = set(g.adj) if within is None else within
     if q not in nodes:
         return set()
+    pending = set() if reach is None else reach - {q}
+    if reach is not None and not pending:
+        return nodes
     seen = {q}
     queue = deque([q])
     while queue:
@@ -156,6 +172,10 @@ def connected_component(
             if u in nodes and u not in seen:
                 seen.add(u)
                 queue.append(u)
+                if u in pending:
+                    pending.discard(u)
+                    if not pending:
+                        return nodes
     return seen
 
 

@@ -1,11 +1,18 @@
 """Tests for the Exact branch-and-bound (Algorithm 1) and its prunings."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exact import ExactResult, exact_cs
 
 from .oracle import brute_force_cs
-from repro.graphs import LocalGraph, maximal_connected_kcore, maximal_connected_ktruss
+from repro.graphs import (
+    LocalGraph,
+    community_model,
+    maximal_connected_kcore,
+    maximal_connected_ktruss,
+)
 from repro.graphs.generator import planted_homogeneous
 from repro.metrics import composite_distances_local, delta, norm_stats_local
 
@@ -109,12 +116,15 @@ class TestPruningEffect:
         assert p1.states <= none.states or none.capped
 
     def test_duplicate_counter_increments(self):
+        """P1 counts duplicates only when it is on, never more than the
+        states generated, and no level changes the optimum."""
         g = random_attr_graph(11, 0.6, seed=5)
-        r = exact_cs(g, 0, 3)
-        if r.community is None:
-            pytest.skip("no community")
-        assert r.pruned_duplicate >= 0  # counter exists and is consistent
-        assert r.states > 0
+        runs = [exact_cs(g, 0, 3, prunings=p) for p in range(4)]
+        assert runs[0].community is not None and not runs[0].capped
+        assert runs[0].pruned_duplicate == 0
+        for r in runs[1:]:
+            assert 0 < r.pruned_duplicate <= r.states
+            assert r.delta == runs[0].delta
 
     def test_max_states_caps(self):
         g = random_attr_graph(13, 0.7, seed=6)
@@ -144,6 +154,49 @@ class TestExactTruss:
             assert r.delta == pytest.approx(bf_d)
 
 
+@st.composite
+def cut_graphs(draw):
+    """Two cliques that share a node, or that a bridge edge or path joins,
+    with random attributes: a deletion can cut the community in two."""
+    k = draw(st.integers(1, 3))
+    a, b = (draw(st.integers(k + 1, k + 2)) for _ in range(2))
+    join = draw(st.integers(0, 2))  # shared node, bridge edge, bridge path
+    left = list(range(a))
+    start = a - 1 if join == 0 else a  # the shared node is left's last
+    right = list(range(start, start + b))
+    edges = [(x, y) for c in (left, right) for x in c for y in c if x < y]
+    if join == 1:
+        edges.append((left[-1], right[0]))
+    elif join == 2:
+        edges += [(left[-1], -1), (-1, right[0])]
+    nodes = sorted({x for e in edges for x in e})
+    vocab = ["a", "b", "c", "d"]
+    tattrs = {v: draw(st.sets(st.sampled_from(vocab), min_size=1)) for v in nodes}
+    nattrs = {v: [draw(st.integers(0, 8)) / 8] for v in nodes}
+    g = LocalGraph.from_edges(edges, tattrs=tattrs, nattrs=nattrs)
+    return g, draw(st.sampled_from(nodes)), k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(cut_graphs())
+def test_exact_on_graphs_with_cut_vertices(case):
+    """A deletion that cuts the state keeps only q's side: every answer is
+    a connected community of q with the brute-force optimum's δ."""
+    g, q, k = case
+    for model, levels in (("core", range(4)), ("truss", (3,))):
+        maximal = community_model(model).maximal
+        bf_c, bf_d = brute_force_cs(g, q, k, model=model)
+        for prunings in levels:
+            r = exact_cs(g, q, k, model=model, prunings=prunings)
+            if bf_c is None:
+                assert r.community is None
+                continue
+            assert not r.capped
+            assert r.delta == pytest.approx(bf_d)
+            assert q in r.community
+            assert maximal(g, q, k, within=r.community) == r.community
+
+
 class TestOnPlantedGraph:
     def test_exact_recovers_cohesive_community(self):
         gen = planted_homogeneous(n_comms=3, comm_size=12, p_in=0.6, m_out=10, seed=9)
@@ -159,9 +212,9 @@ class TestOnPlantedGraph:
 # (q, states, pruned_duplicate, pruned_unpromising) of Table IV's three
 # facebook queries (k=4, seed 3) with every pruning on
 TABLE4_FACEBOOK_COUNTS = [
-    (47, 2984, 1460, 14),
-    (104, 13160, 8147, 177),
-    (495, 4110, 3189, 0),
+    (47, 2984, 2113, 14),
+    (104, 13160, 10360, 177),
+    (495, 4110, 3224, 0),
 ]
 
 
@@ -182,9 +235,9 @@ def test_table4_facebook_counts_pinned():
 # pruning configurations on one facebook query (k=4, seed 3, the table's
 # cap of 60 000 states): P1, P2 and P3 are each switched off somewhere
 TABLE4_CONFIG_COUNTS = {
-    "Exact": (3212, 2442, 0, False),
-    "Exact\\P3": (3212, 2442, 0, False),
-    "Exact\\P3+P2": (60000, 32465, 0, True),
+    "Exact": (3212, 2479, 0, False),
+    "Exact\\P3": (3212, 2479, 0, False),
+    "Exact\\P3+P2": (60000, 51007, 0, True),
     "Exact w/o P": (60000, 0, 0, True),
 }
 

@@ -8,6 +8,8 @@ degrees. Deleting v with ``kcore_cascade`` and taking q's component of
 what is left gives the set that ``maximal_connected_kcore`` recomputes
 from scratch, in the same iteration order; the deleted and cut-off nodes
 are the state's lost nodes, and the carried degrees are the fresh ones.
+Exact's BFS, which stops once q has reached every surviving neighbour of
+the deleted nodes, gives the same set (in any order).
 """
 import networkx as nx
 from hypothesis import given, settings
@@ -73,6 +75,10 @@ def test_carried_deletion_equals_recomputed_state(case):
     want = maximal_connected_kcore(g, q, k, within=state - {v})
 
     assert list(new) == list(want)  # the same set, iterated the same way
+    # Exact's step: the BFS stops once q reaches every surviving neighbour
+    # of the deleted nodes, and then returns alive itself
+    border = alive.intersection(set().union(*(g.adj[u] for u in dropped)))
+    assert connected_component(g, q, alive, reach=border) == want
     assert len(dropped) == len(set(dropped)) and set(dropped) == state - alive
     assert set(dropped) | (alive - new) == state - new
     for u in alive:

@@ -5,8 +5,8 @@ defaults: ``jobs/tables.py`` prints them, ``benchmarks/test_bench_tables.py``
 times them into ``benchmarks/tables_output.txt``, and EXPERIMENTS.md
 discusses them. Each table's ``test_recorded_cells_match`` reruns the
 recorded workload and compares every non-timing cell with that file (Table
-IV only its two uncapped #states columns), so an answer that moves shows up
-as a named cell.
+IV all but its Exact w/o P #states column), so an answer that moves shows
+up as a named cell.
 """
 import ast
 from pathlib import Path
@@ -257,14 +257,15 @@ class TestTable4:
         assert worst == len(rows)
 
     def test_recorded_exact_states_match(self):
-        """The Exact and Exact\\P3 #states cells of every dataset equal the
-        recorded ones. The capped columns take ~15 s and stay unpinned."""
+        """The Exact, Exact\\P3 and Exact\\P3+P2 #states cells of every
+        dataset equal the recorded ones. Exact w/o P, most of the table's
+        time (~9 s), stays unpinned."""
         title, want = recorded_table(4)
         meta = ast.literal_eval(title[title.index("({") + 1 : -1])
         for row in want:
             prep = prepare(row["Dataset"])
             queries = pick_queries(prep, meta["k"], meta["n_queries"], meta["seed"])
-            for label, prunings in TABLE4_CONFIGS[:2]:
+            for label, prunings in TABLE4_CONFIGS[:3]:
                 runs = [
                     exact_cs(prep.graph, q, meta["k"], gamma=prep.gamma, stats=prep.stats,
                              prunings=prunings, max_states=meta["cap"])
